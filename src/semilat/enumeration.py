@@ -7,18 +7,19 @@ two commuting idempotents is an idempotent commuting with every common
 neighbor, so a maximal clique is automatically product-closed, and a clique
 strictly containing a subsemilattice generates a strictly larger one.  That
 identification is not taken on faith: the n <= 3 brute-force oracle pins it
-in the test suite, and every emitted clique is re-verified axiom by axiom.
+in the test suite, and every emitted clique is re-verified axiom by axiom on
+a second route that never reads the graph — naive composition of the
+vertices' image tables, memoised per pair of vertex indices.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
-excluded sets held as bit vectors indexed by idempotent index.  The search
-tree partitions at the top level, so extra workers own disjoint branches and
-a canonical merge keeps the output byte-stable regardless of worker count.
+excluded sets held as bit vectors indexed by idempotent index, in one
+process: the identity commutes with every idempotent, so the top level of
+the search is a single branch and there is nothing to split between workers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,8 +35,6 @@ from .transform import (
 DEFAULT_CAP = 5
 HARD_CAP = 6
 ORACLE_CAP = 3
-
-_MIN_RECURSION = 10_000
 
 
 class CapExceeded(ValueError):
@@ -110,6 +109,7 @@ def build_commuting_graph(n: int) -> CommutingGraph:
 
 def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:
     # Pivoted expansion; r, p, x are bit vectors over vertex indices.
+    # Recursion depth is at most the largest clique plus one: 2^(n-1) + 1.
     if p == 0 and x == 0:
         out.append(r)
         return
@@ -135,74 +135,92 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:
         x |= lsb
 
 
-def _toplevel_branches(rows) -> list[tuple[int, int, int]]:
-    """The first expansion level as independent (r, p, x) jobs."""
-    full = (1 << len(rows)) - 1
-    p, x = full, 0
-    best = -1
-    pivot_nbrs = 0
-    m = p
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
-        m ^= lsb
-        c = (p & rows[v]).bit_count()
-        if c > best:
-            best = c
-            pivot_nbrs = rows[v]
-    branches = []
-    cand = p & ~pivot_nbrs
-    while cand:
-        lsb = cand & -cand
-        v = lsb.bit_length() - 1
-        cand ^= lsb
-        nv = rows[v]
-        branches.append((lsb, p & nv, x & nv))
-        p &= ~lsb
-        x |= lsb
-    return branches
-
-
-_WORKER_ROWS: tuple[int, ...] = ()
-
-
-def _init_worker(rows: tuple[int, ...]) -> None:
-    global _WORKER_ROWS
-    _WORKER_ROWS = rows
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), _MIN_RECURSION))
-
-
-def _run_branch(job: tuple[int, int, int]) -> list[int]:
+def _maximal_clique_bitsets(rows: tuple[int, ...]) -> list[int]:
     out: list[int] = []
-    _bron_kerbosch(_WORKER_ROWS, *job, out)
-    return out
-
-
-def _maximal_clique_bitsets(rows: tuple[int, ...], workers: int) -> list[int]:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), _MIN_RECURSION))
-    if workers <= 1 or len(rows) < 32:
-        out: list[int] = []
-        _bron_kerbosch(rows, 0, (1 << len(rows)) - 1, 0, out)
-        return sorted(out)
-    branches = _toplevel_branches(rows)
-    with multiprocessing.Pool(
-        workers, initializer=_init_worker, initargs=(rows,)
-    ) as pool:
-        chunks = pool.map(_run_branch, branches)
-    merged = set()
-    for chunk in chunks:
-        merged.update(chunk)
-    return sorted(merged)
+    _bron_kerbosch(rows, 0, (1 << len(rows)) - 1, 0, out)
+    return sorted(out)
 
 
 def _semilattice_sort_key(s: Semilattice):
     return (-len(s.elements), s.key())
 
 
-def _enumerate(n: int, workers: int) -> tuple[Semilattice, ...]:
+# Codes stored in a product memo row in place of a vertex index.
+_UNSEEN = -1
+_NOT_COMMUTING = -2
+_NOT_A_VERTEX = -3  # the product is not idempotent, or not in the list
+
+
+class _CliqueVerifier:
+    """The semilattice axioms for cliques given as bit vectors over a vertex list.
+
+    Independent of the block test that builds the commuting graph: pairs are
+    multiplied by naive composition of their image tables, and the product is
+    looked up by image table.  Each pair's outcome is memoised in a row of
+    signed 16-bit entries, allocated the first time its vertex leads a pair;
+    16 bits index every vertex up to n = 7 (6322 idempotents).
+    """
+
+    def __init__(self, n: int, vertices: tuple[Transformation, ...]):
+        self.n = n
+        self.vertices = vertices
+        self._images = [v.images for v in vertices]
+        self._index = {images: i for i, images in enumerate(self._images)}
+        self._idempotent = [
+            all(a[a[x]] == a[x] for x in range(n)) for a in self._images
+        ]
+        self._memo: list[array | None] = [None] * len(vertices)
+
+    def _product(self, i: int, j: int) -> int:
+        a, b = self._images[i], self._images[j]
+        ab = tuple(b[y] for y in a)
+        if ab != tuple(a[y] for y in b):
+            return _NOT_COMMUTING
+        return self._index.get(ab, _NOT_A_VERTEX)
+
+    def violation(self, clique: int) -> str | None:
+        """The first axiom the clique breaks, in :func:`find_violation`'s
+        order and naming, or None if its members form a semilattice."""
+        members = points(clique)
+        for i in members:
+            if not self._idempotent[i]:
+                return "idempotence"
+        memo = self._memo
+        for k, i in enumerate(members):
+            row = memo[i]
+            if row is None:
+                row = memo[i] = array("h", [_UNSEEN]) * len(memo)
+            for j in members[k + 1 :]:
+                p = row[j]
+                if p == _UNSEEN:
+                    p = row[j] = self._product(i, j)
+                if p == _NOT_COMMUTING:
+                    return "commutativity"
+                if p < 0 or not (clique >> p) & 1:
+                    return "closure"
+        return None
+
+    def semilattice(self, clique: int) -> Semilattice:
+        """The clique's members as a semilattice.
+
+        A rejected clique goes through :func:`verify_semilattice`, whose
+        :class:`SemilatticeError` names the axiom and the elements.
+        """
+        members = tuple(self.vertices[i] for i in points(clique))
+        if self.violation(clique) is None:
+            return Semilattice(self.n, members)
+        verify_semilattice(self.n, members)
+        raise RuntimeError(
+            f"the index verifier and verify_semilattice disagree at n={self.n} "
+            f"on the clique {[m.word() for m in members]}"
+        )
+
+
+def _enumerate(n: int) -> tuple[Semilattice, ...]:
     graph = build_commuting_graph(n)
     rows = graph.rows
-    cliques = _maximal_clique_bitsets(rows, workers)
+    cliques = _maximal_clique_bitsets(rows)
+    verifier = _CliqueVerifier(n, graph.vertices)
     semis = []
     full = (1 << len(rows)) - 1
     for clique in cliques:
@@ -211,15 +229,14 @@ def _enumerate(n: int, workers: int) -> tuple[Semilattice, ...]:
             common &= rows[i]
         if common:
             raise RuntimeError("search emitted a non-maximal clique")
-        members = [graph.vertices[i] for i in points(clique)]
-        semis.append(verify_semilattice(n, members))
+        semis.append(verifier.semilattice(clique))
     semis.sort(key=_semilattice_sort_key)
     return tuple(semis)
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[Semilattice, ...]:
-    return _enumerate(n, workers=1)
+    return _enumerate(n)
 
 
 def enumerate_maximal_semilattices(
@@ -227,15 +244,14 @@ def enumerate_maximal_semilattices(
 ) -> tuple[Semilattice, ...]:
     """Every maximal subsemilattice of T(n), verified and canonically ordered.
 
-    Output is sorted by size descending, then lexicographically on the carrier,
-    and is identical for any worker count.
+    Output is sorted by size descending, then lexicographically on the carrier.
+    ``workers`` is accepted for compatibility and must be positive; the search
+    always runs in this process.
     """
     _check_cap(n, cap)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if workers == 1:
-        return _enumerate_cached(n)
-    return _enumerate(n, workers)
+    return _enumerate_cached(n)
 
 
 def max_size_semilattices(

@@ -1,9 +1,12 @@
 """The commuting graph, clique search, and the brute-force oracle."""
 
+from collections import Counter
+
 import pytest
 
 import semilat as sl
-from semilat import enumeration, formats
+from semilat import enumeration, formats, make_transformation
+from semilat.transform import points
 
 
 def test_graph_n1():
@@ -143,8 +146,8 @@ def test_enumeration_cap():
 
 
 def test_enumeration_is_deterministic():
-    a = enumeration._enumerate(3, workers=1)
-    b = enumeration._enumerate(3, workers=1)
+    a = enumeration._enumerate(3)
+    b = enumeration._enumerate(3)
     assert a == b
     ja = formats.dumps([formats.semilattice_to_dict(s) for s in a])
     jb = formats.dumps([formats.semilattice_to_dict(s) for s in b])
@@ -156,6 +159,79 @@ def test_workers_produce_identical_output(maximal_by_n):
         assert (
             sl.enumerate_maximal_semilattices(n, workers=2) == maximal_by_n[n]
         )
+
+
+def _cliques_and_verifier(n):
+    graph = sl.build_commuting_graph(n)
+    cliques = enumeration._maximal_clique_bitsets(graph.rows)
+    return cliques, enumeration._CliqueVerifier(n, graph.vertices)
+
+
+def _members(verifier, clique):
+    return [verifier.vertices[i] for i in points(clique)]
+
+
+def test_index_verifier_accepts_every_enumerated_clique():
+    for n in range(1, 6):
+        cliques, verifier = _cliques_and_verifier(n)
+        for clique in cliques:
+            assert verifier.violation(clique) is None
+            assert sl.find_violation(n, _members(verifier, clique)) is None
+
+
+def _assert_both_reject(verifier, clique):
+    """The axiom that both verifiers, and the fallback's error, name."""
+    axiom = sl.find_violation(verifier.n, _members(verifier, clique)).axiom
+    assert verifier.violation(clique) == axiom
+    with pytest.raises(sl.SemilatticeError) as err:
+        verifier.semilattice(clique)
+    assert err.value.violation.axiom == axiom
+    return axiom
+
+
+def test_index_verifier_rejects_mutated_cliques_like_find_violation():
+    axioms = Counter()
+    for n in range(2, 6):
+        cliques, verifier = _cliques_and_verifier(n)
+        vertices = verifier.vertices
+        for clique in cliques:
+            members = points(clique)
+            # add one idempotent that fails to commute with some member
+            intruder = next(
+                k for k, e in enumerate(vertices)
+                if not (clique >> k) & 1
+                and not all(sl.commutes(e, vertices[i]) for i in members)
+            )
+            axioms[_assert_both_reject(verifier, clique | 1 << intruder)] += 1
+            # remove the product of two members that is neither of them
+            products = (
+                (i, j, vertices.index(sl.compose(vertices[i], vertices[j])))
+                for a, i in enumerate(members)
+                for j in members[a + 1 :]
+            )
+            removed = next((p for i, j, p in products if p not in (i, j)), None)
+            if removed is not None:
+                mutated = clique & ~(1 << removed)
+                assert _assert_both_reject(verifier, mutated) == "closure"
+                axioms["removed"] += 1
+    assert axioms["commutativity"] and axioms["removed"]
+
+
+def test_index_verifier_reports_a_non_idempotent_member():
+    # (1 2 2) squared agrees with it on its image {1, 2}, but not at 0
+    vertices = sl.enumerate_idempotents(3) + (make_transformation(3, [1, 2, 2]),)
+    verifier = enumeration._CliqueVerifier(3, vertices)
+    clique = 1 << (len(vertices) - 1) | 1
+    assert _assert_both_reject(verifier, clique) == "idempotence"
+
+
+def test_verifiers_that_disagree_stop_the_enumeration(monkeypatch):
+    _, verifier = _cliques_and_verifier(3)
+    monkeypatch.setattr(enumeration, "verify_semilattice", lambda n, members: None)
+    constants = 1 | 1 << (len(verifier.vertices) - 1)  # (0 0 0) and (2 2 2)
+    message = r"disagree at n=3 on the clique \['0 0 0', '2 2 2'\]"
+    with pytest.raises(RuntimeError, match=message):
+        verifier.semilattice(constants)
 
 
 @pytest.mark.slow
