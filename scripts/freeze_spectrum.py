@@ -21,12 +21,11 @@ def main() -> None:
         type=Path,
         default=Path(__file__).resolve().parent.parent / "tests" / "data",
     )
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for n in args.ns:
-        report = spectrum(n, workers=args.workers)
+        report = spectrum(n)
         path = args.out_dir / f"spectrum_n{n}.json"
         path.write_text(spectrum_fixture_text(report), encoding="utf-8")
         print(f"wrote {path} ({report.total_maximal} maximal, max {report.max_size})")

@@ -15,12 +15,11 @@ from semilat.enumeration import HARD_CAP, spectrum
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     for n in range(1, args.max_n + 1):
         start = time.perf_counter()
-        report = spectrum(n, workers=args.workers, cap=min(args.max_n, HARD_CAP))
+        report = spectrum(n, cap=min(args.max_n, HARD_CAP))
         elapsed = time.perf_counter() - start
         counts = report.counts()
         attained = sorted(counts)

@@ -63,6 +63,7 @@ from .enumeration import (
     brute_force_subsemilattices,
     build_commuting_graph,
     enumerate_maximal_semilattices,
+    extremal_clauses,
     max_size_semilattices,
     spectrum,
 )

@@ -1,24 +1,22 @@
 """Command-line interface.
 
-One binary, one subcommand per library entry point.  Exit status 0 on
-success or PASS, 1 on a verification FAIL, 2 on usage or input errors.
-The environment variable SEMILAT_CAP overrides the default enumeration cap
-(still hard-limited).
+One binary, one subcommand per library entry point.  Each handler takes the
+parsed argparse namespace and calls the library.  Exit status 0 on success
+or PASS, 1 on a verification FAIL, 2 on usage or input errors.  Enumerating
+subcommands take ``--cap`` to lift the default enumeration cap, up to the
+library's hard maximum.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import formats
 from .enumeration import (
-    DEFAULT_CAP,
     CapExceeded,
     enumerate_maximal_semilattices,
+    extremal_clauses,
     spectrum,
 )
 from .reduction import reduce_semilattice
@@ -36,35 +34,20 @@ from .semilattice import (
 from .transform import enumerate_idempotents
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: Optional[int] = None
-    t: Optional[int] = None
-    m: Optional[int] = None
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    format: str = "text"
-    workers: int = 1
-    cap: int = DEFAULT_CAP
-    annotate: bool = False
-    transitivity: bool = False
-
-
-def _read_input(config: RunConfig) -> formats.ParsedFile:
-    if config.input_path in (None, "-"):
+def _read_input(args: argparse.Namespace) -> formats.ParsedFile:
+    if args.input_path in (None, "-"):
         text = sys.stdin.read()
     else:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     return formats.parse_transformations(text)
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path in (None, "-"):
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output_path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -83,61 +66,59 @@ def _annotations(s: Semilattice) -> dict:
     }
 
 
-def _emit_semilattice(config: RunConfig, s: Semilattice, t: Optional[int]) -> int:
-    if config.format == "json":
-        annotations = _annotations(s) if config.annotate else None
-        _emit(config, formats.dumps(formats.semilattice_to_dict(s, annotations)))
+def _emit_semilattice(args: argparse.Namespace, s: Semilattice, t: int | None) -> int:
+    if args.format == "json":
+        annotations = _annotations(s) if args.annotate else None
+        _emit(args, formats.dumps(formats.semilattice_to_dict(s, annotations)))
     else:
-        _emit(config, formats.format_semilattice_text(s, t))
+        _emit(args, formats.format_semilattice_text(s, t))
     return 0
 
 
-def _cmd_idempotents(config: RunConfig) -> int:
-    idems = enumerate_idempotents(config.n)
-    if config.format == "json":
+def _cmd_idempotents(args: argparse.Namespace) -> int:
+    idems = enumerate_idempotents(args.n)
+    if args.format == "json":
         _emit(
-            config,
+            args,
             formats.dumps(
                 {
-                    "n": config.n,
+                    "n": args.n,
                     "count": len(idems),
                     "idempotents": [list(e.images) for e in idems],
                 }
             ),
         )
     else:
-        lines = [f"n={config.n} count={len(idems)}"]
+        lines = [f"n={args.n} count={len(idems)}"]
         lines.extend(e.word() for e in idems)
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_et(config: RunConfig) -> int:
-    _require(0 <= config.t < config.n, f"t={config.t} outside [0, {config.n})")
-    return _emit_semilattice(
-        config, collapse_semilattice(config.n, config.t), config.t
-    )
+def _cmd_et(args: argparse.Namespace) -> int:
+    _require(0 <= args.t < args.n, f"t={args.t} outside [0, {args.n})")
+    return _emit_semilattice(args, collapse_semilattice(args.n, args.t), args.t)
 
 
-def _cmd_make_size(config: RunConfig) -> int:
-    _require(0 <= config.t < config.n, f"t={config.t} outside [0, {config.n})")
-    top = 1 << (config.n - 1)
-    _require(1 <= config.m <= top, f"m={config.m} outside [1, {top}]")
-    s = semilattice_of_size(config.n, config.t, config.m)
-    return _emit_semilattice(config, s, config.t)
+def _cmd_make_size(args: argparse.Namespace) -> int:
+    _require(0 <= args.t < args.n, f"t={args.t} outside [0, {args.n})")
+    top = 1 << (args.n - 1)
+    _require(1 <= args.m <= top, f"m={args.m} outside [1, {top}]")
+    s = semilattice_of_size(args.n, args.t, args.m)
+    return _emit_semilattice(args, s, args.t)
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    parsed = _read_input(config)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    parsed = _read_input(args)
     violation = find_violation(parsed.n, parsed.transformations)
     if violation is None:
         size = len(set(parsed.transformations))
-        if config.format == "json":
-            _emit(config, formats.dumps({"valid": True, "n": parsed.n, "size": size}))
+        if args.format == "json":
+            _emit(args, formats.dumps({"valid": True, "n": parsed.n, "size": size}))
         else:
-            _emit(config, f"VALID n={parsed.n} size={size}\n")
+            _emit(args, f"VALID n={parsed.n} size={size}\n")
         return 0
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "valid": False,
             "axiom": violation.axiom,
@@ -145,17 +126,17 @@ def _cmd_verify(config: RunConfig) -> int:
         }
         if violation.product is not None:
             payload["missing_product"] = list(violation.product.images)
-        _emit(config, formats.dumps(payload))
+        _emit(args, formats.dumps(payload))
     else:
-        _emit(config, f"INVALID {violation.describe()}\n")
+        _emit(args, f"INVALID {violation.describe()}\n")
     return 1
 
 
-def _cmd_maximal(config: RunConfig) -> int:
-    parsed = _read_input(config)
+def _cmd_maximal(args: argparse.Namespace) -> int:
+    parsed = _read_input(args)
     s = verify_semilattice(parsed.n, parsed.transformations)
     result = is_maximal(s)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "maximal": result.is_maximal,
             "n": s.n,
@@ -164,114 +145,79 @@ def _cmd_maximal(config: RunConfig) -> int:
             if result.witness is None
             else list(result.witness.images),
         }
-        _emit(config, formats.dumps(payload))
+        _emit(args, formats.dumps(payload))
     elif result.is_maximal:
-        _emit(config, f"MAXIMAL n={s.n} size={len(s)}\n")
+        _emit(args, f"MAXIMAL n={s.n} size={len(s)}\n")
     else:
-        _emit(config, f"NOT-MAXIMAL extend-with: {result.witness.word()}\n")
+        _emit(args, f"NOT-MAXIMAL extend-with: {result.witness.word()}\n")
     return 0 if result.is_maximal else 1
 
 
-def _cmd_reduce(config: RunConfig) -> int:
-    parsed = _read_input(config)
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    parsed = _read_input(args)
     s = verify_semilattice(parsed.n, parsed.transformations)
     result = reduce_semilattice(s)
-    if config.format == "json":
-        _emit(config, formats.dumps(formats.reduction_to_dict(result)))
+    if args.format == "json":
+        _emit(args, formats.dumps(formats.reduction_to_dict(result)))
     else:
-        _emit(config, formats.format_reduction_text(result))
+        _emit(args, formats.format_reduction_text(result))
     return 0
 
 
-def _cmd_order(config: RunConfig) -> int:
-    parsed = _read_input(config)
+def _cmd_order(args: argparse.Namespace) -> int:
+    parsed = _read_input(args)
     s = verify_semilattice(parsed.n, parsed.transformations)
-    name = "transitivity" if config.transitivity else "natural"
-    relation = transitivity_order(s) if config.transitivity else natural_order(s)
-    if config.format == "json":
-        _emit(config, formats.dumps(formats.poset_to_dict(name, relation, s.n)))
+    name = "transitivity" if args.transitivity else "natural"
+    relation = transitivity_order(s) if args.transitivity else natural_order(s)
+    if args.format == "json":
+        _emit(args, formats.dumps(formats.poset_to_dict(name, relation, s.n)))
     else:
-        _emit(config, formats.format_poset_text(name, relation, s.n))
+        _emit(args, formats.format_poset_text(name, relation, s.n))
     return 0
 
 
-def _cmd_enumerate(config: RunConfig) -> int:
-    semis = enumerate_maximal_semilattices(
-        config.n, workers=config.workers, cap=config.cap
-    )
-    if config.format == "json":
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
+    if args.format == "json":
         _emit(
-            config,
+            args,
             formats.dumps(
                 {
-                    "n": config.n,
+                    "n": args.n,
                     "count": len(semis),
                     "semilattices": [formats.semilattice_to_dict(s) for s in semis],
                 }
             ),
         )
     else:
-        blocks = [f"n={config.n} count={len(semis)}"]
+        blocks = [f"n={args.n} count={len(semis)}"]
         for s in semis:
             blocks.append("")
             blocks.append(formats.format_semilattice_text(s).rstrip("\n"))
-        _emit(config, "\n".join(blocks) + "\n")
+        _emit(args, "\n".join(blocks) + "\n")
     return 0
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
-    report = spectrum(config.n, workers=config.workers, cap=config.cap)
-    if config.format == "json":
-        _emit(config, formats.dumps(formats.spectrum_to_dict(report)))
-    elif config.format == "csv":
-        _emit(config, formats.spectrum_to_csv(report))
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    report = spectrum(args.n, cap=args.cap)
+    if args.format == "json":
+        _emit(args, formats.dumps(formats.spectrum_to_dict(report)))
+    elif args.format == "csv":
+        _emit(args, formats.spectrum_to_csv(report))
     else:
-        _emit(config, formats.format_spectrum_text(report))
+        _emit(args, formats.format_spectrum_text(report))
     return 0
 
 
-def _cmd_verify_theorem(config: RunConfig) -> int:
-    n = config.n
-    semis = enumerate_maximal_semilattices(n, workers=config.workers, cap=config.cap)
-    expected_top = 1 << (n - 1)
-    top = len(semis[0])
-    winners = [s for s in semis if len(s) == top]
-    collapse_family = {collapse_semilattice(n, t) for t in range(n)}
+def _cmd_verify_theorem(args: argparse.Namespace) -> int:
+    semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
     lines = []
     ok = True
-
-    passed = top == expected_top
-    ok &= passed
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} max-size: {top} == 2^(n-1) = {expected_top}"
-    )
-
-    passed = len(winners) == n
-    ok &= passed
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} count: {len(winners)} maximum-size "
-        f"semilattices, expected n = {n}"
-    )
-
-    passed = set(winners) == collapse_family
-    ok &= passed
-    lines.append(
-        f"{'PASS' if passed else 'FAIL'} set-equality: maximum-size semilattices "
-        f"are exactly the {n} collapse semilattices"
-    )
-
-    boolean_ok = all(
-        (res := is_boolean_lattice(s)).is_boolean and len(res.atoms) == n - 1
-        for s in winners
-    )
-    ok &= boolean_ok
-    lines.append(
-        f"{'PASS' if boolean_ok else 'FAIL'} boolean: every maximum-size "
-        f"semilattice is a power-set lattice with {n - 1} atoms"
-    )
-
-    lines.append(f"RESULT {'PASS' if ok else 'FAIL'} n={n}")
-    _emit(config, "\n".join(lines) + "\n")
+    for holds, statement in extremal_clauses(args.n, semis):
+        ok &= holds
+        lines.append(f"{'PASS' if holds else 'FAIL'} {statement}")
+    lines.append(f"RESULT {'PASS' if ok else 'FAIL'} n={args.n}")
+    _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -289,11 +235,11 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    _require(config.workers >= 1, f"workers must be positive, got {config.workers}")
-    if config.n is not None:
-        _require(config.n >= 1, f"n must be positive, got {config.n}")
-    return _HANDLERS[config.command](config)
+def run(args: argparse.Namespace) -> int:
+    n = getattr(args, "n", None)
+    if n is not None:
+        _require(n >= 1, f"n must be positive, got {n}")
+    return _HANDLERS[args.command](args)
 
 
 def _add_format(parser, choices=("text", "json")) -> None:
@@ -357,14 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all maximal subsemilattices of T(n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cap", type=int, default=None)
     _add_format(p)
     _add_io_out(p)
 
     p = sub.add_parser("spectrum", help="histogram of maximal cardinalities")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cap", type=int, default=None)
     _add_format(p, choices=("text", "json", "csv"))
     _add_io_out(p)
@@ -380,46 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorem", help="check the extremal claims at one n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cap", type=int, default=None)
     _add_io_out(p)
 
     return parser
 
 
-def _resolve_cap(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("SEMILAT_CAP")
-    if env is None:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SEMILAT_CAP must be an integer, got {env!r}") from None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = RunConfig(
-            command=ns.command,
-            n=getattr(ns, "n", None),
-            t=getattr(ns, "t", None),
-            m=getattr(ns, "m", None),
-            input_path=getattr(ns, "input_path", None),
-            output_path=getattr(ns, "output_path", None),
-            format=getattr(ns, "format", "text"),
-            workers=getattr(ns, "workers", 1),
-            cap=_resolve_cap(getattr(ns, "cap", None)),
-            annotate=getattr(ns, "annotate", False),
-            transitivity=getattr(ns, "transitivity", False),
-        )
-        return run(config)
+        return run(args)
     except (formats.ParseError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

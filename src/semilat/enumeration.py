@@ -23,7 +23,13 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .semilattice import Semilattice, find_violation, verify_semilattice
+from .semilattice import (
+    Semilattice,
+    collapse_semilattice,
+    find_violation,
+    is_boolean_lattice,
+    verify_semilattice,
+)
 from .transform import (
     Transformation,
     commutes_with_idempotent,
@@ -240,27 +246,59 @@ def _enumerate_cached(n: int) -> tuple[Semilattice, ...]:
 
 
 def enumerate_maximal_semilattices(
-    n: int, workers: int = 1, cap: int | None = None
+    n: int, cap: int | None = None
 ) -> tuple[Semilattice, ...]:
     """Every maximal subsemilattice of T(n), verified and canonically ordered.
 
     Output is sorted by size descending, then lexicographically on the carrier.
-    ``workers`` is accepted for compatibility and must be positive; the search
-    always runs in this process.
     """
     _check_cap(n, cap)
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     return _enumerate_cached(n)
 
 
-def max_size_semilattices(
-    n: int, workers: int = 1, cap: int | None = None
-) -> tuple[Semilattice, ...]:
-    """The maximal subsemilattices of the largest cardinality."""
-    semis = enumerate_maximal_semilattices(n, workers=workers, cap=cap)
+def _largest(semis: tuple[Semilattice, ...]) -> tuple[Semilattice, ...]:
     top = len(semis[0])
     return tuple(s for s in semis if len(s) == top)
+
+
+def max_size_semilattices(n: int, cap: int | None = None) -> tuple[Semilattice, ...]:
+    """The maximal subsemilattices of the largest cardinality."""
+    return _largest(enumerate_maximal_semilattices(n, cap=cap))
+
+
+def extremal_clauses(
+    n: int, semis: tuple[Semilattice, ...]
+) -> tuple[tuple[bool, str], ...]:
+    """The extremal theorem checked on ``semis``, the maximal subsemilattices
+    of T(n) in canonical order: one ``(holds, statement)`` pair per clause.
+
+    The clauses are that the largest size is 2^(n-1), that exactly n reach
+    it, that they are the n collapse families, and that each is the power-set
+    lattice on n-1 atoms.
+    """
+    expected_top = 1 << (n - 1)
+    winners = _largest(semis)
+    top = len(winners[0])
+    return (
+        (top == expected_top, f"max-size: {top} == 2^(n-1) = {expected_top}"),
+        (
+            len(winners) == n,
+            f"count: {len(winners)} maximum-size semilattices, expected n = {n}",
+        ),
+        (
+            set(winners) == {collapse_semilattice(n, t) for t in range(n)},
+            "set-equality: maximum-size semilattices are exactly the "
+            f"{n} collapse semilattices",
+        ),
+        (
+            all(
+                (res := is_boolean_lattice(s)).is_boolean and len(res.atoms) == n - 1
+                for s in winners
+            ),
+            "boolean: every maximum-size semilattice is a power-set lattice "
+            f"with {n - 1} atoms",
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -287,13 +325,21 @@ class SpectrumReport:
         return {e.size: e.count for e in self.entries}
 
 
-def spectrum(n: int, workers: int = 1, cap: int | None = None) -> SpectrumReport:
+def spectrum(n: int, cap: int | None = None) -> SpectrumReport:
     """Group the full enumeration by cardinality.
 
     The witness for each size is the canonically smallest maximal
-    subsemilattice of that size, so reports are deterministic.
+    subsemilattice of that size, so reports are deterministic.  Raises
+    RuntimeError naming the failed clauses if the enumeration contradicts
+    the extremal theorem.
     """
-    semis = enumerate_maximal_semilattices(n, workers=workers, cap=cap)
+    semis = enumerate_maximal_semilattices(n, cap=cap)
+    failed = [statement for holds, statement in extremal_clauses(n, semis) if not holds]
+    if failed:
+        raise RuntimeError(
+            f"the maximal subsemilattices of T({n}) contradict the theorem: "
+            + "; ".join(failed)
+        )
     by_size: dict[int, list[Semilattice]] = {}
     for s in semis:
         by_size.setdefault(len(s), []).append(s)
@@ -301,14 +347,7 @@ def spectrum(n: int, workers: int = 1, cap: int | None = None) -> SpectrumReport
         SpectrumEntry(size, len(group), min(group, key=Semilattice.key))
         for size, group in sorted(by_size.items())
     )
-    report = SpectrumReport(n, entries, len(semis), max(by_size))
-    expected_top = 1 << (n - 1)
-    if report.max_size != expected_top or report.counts()[expected_top] != n:
-        raise RuntimeError(
-            f"extremal row of the spectrum at n={n} contradicts the theorem: "
-            f"{report.counts()}"
-        )
-    return report
+    return SpectrumReport(n, entries, len(semis), max(by_size))
 
 
 def brute_force_subsemilattices(n: int) -> tuple[Semilattice, ...]:

@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from math import comb
 from typing import Iterable
 
 MAX_POINTS = 16  # masks must stay comfortably inside a machine word
+MAX_IDEMPOTENT_POINTS = 8  # T(8) has 41 393 idempotents, T(9) 293 608
 
 
 def points(mask: int) -> tuple[int, ...]:
@@ -207,9 +209,16 @@ def enumerate_idempotents(n: int) -> tuple[Transformation, ...]:
     An idempotent is determined by its set of fixed points B (= its image)
     together with a choice of target in B for every point outside B, so the
     full list is generated directly rather than by scanning all n^n maps.
+    The list grows too fast to build above ``MAX_IDEMPOTENT_POINTS`` points.
     """
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"ground-set size must be in [1, {MAX_POINTS}], got {n}")
+    if n > MAX_IDEMPOTENT_POINTS:
+        count = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
+        raise ValueError(
+            f"T({n}) has {count} idempotents, too many to list "
+            f"(n must be at most {MAX_IDEMPOTENT_POINTS})"
+        )
     found = []
     for image_mask in range(1, 1 << n):
         fixed = points(image_mask)

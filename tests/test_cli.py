@@ -184,24 +184,28 @@ def test_spectrum_cap_enforcement(capsys):
 
 
 def test_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SEMILAT_CAP", "3")
-    code, _, err = run(capsys, "spectrum", "--n", "4")
+    # SEMILAT_CAP is not read: --cap is the only way to set the cap.
+    monkeypatch.setenv("SEMILAT_CAP", "6")
+    code, _, err = run(capsys, "spectrum", "--n", "6")
     assert code == 2
-    assert "cap 3" in err
-
-    monkeypatch.setenv("SEMILAT_CAP", "99")  # still hard-limited
-    code, _, err = run(capsys, "spectrum", "--n", "7")
-    assert code == 2
-    assert "hard maximum" in err
+    assert "cap 5" in err
 
     monkeypatch.setenv("SEMILAT_CAP", "not-a-number")
-    code, _, err = run(capsys, "spectrum", "--n", "3")
-    assert code == 2
-    assert "SEMILAT_CAP" in err
+    code, out, _ = run(capsys, "spectrum", "--n", "3")
+    assert code == 0
+    assert "max_size=4" in out
 
 
 def test_cap_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("SEMILAT_CAP", "2")
+    monkeypatch.setenv("SEMILAT_CAP", "2")  # ignored
+    code, _, err = run(capsys, "spectrum", "--n", "4", "--cap", "3")
+    assert code == 2
+    assert "cap 3" in err
+
+    code, _, err = run(capsys, "spectrum", "--n", "7", "--cap", "99")
+    assert code == 2
+    assert "hard maximum" in err  # still hard-limited
+
     code, out, _ = run(capsys, "spectrum", "--n", "3", "--cap", "3")
     assert code == 0
     assert "max_size=4" in out
@@ -233,6 +237,61 @@ def test_verify_theorem(capsys):
         assert code == 0
         assert out.count("PASS") == 5
         assert f"RESULT PASS n={n}" in out
+
+
+VERIFY_THEOREM_N3 = (
+    "PASS max-size: 4 == 2^(n-1) = 4\n"
+    "PASS count: 3 maximum-size semilattices, expected n = 3\n"
+    "PASS set-equality: maximum-size semilattices are exactly the 3 collapse "
+    "semilattices\n"
+    "PASS boolean: every maximum-size semilattice is a power-set lattice with "
+    "2 atoms\n"
+    "RESULT PASS n=3\n"
+)
+
+
+def test_verify_theorem_bytes(capsys):
+    assert run(capsys, "verify-theorem", "--n", "3") == (0, VERIFY_THEOREM_N3, "")
+
+
+def test_verify_theorem_fails_without_a_collapse_family(capsys, monkeypatch):
+    n = 4
+    missing = sl.collapse_semilattice(n, 0)
+    semis = tuple(s for s in sl.enumerate_maximal_semilattices(n) if s != missing)
+    monkeypatch.setattr(
+        "semilat.cli.enumerate_maximal_semilattices", lambda n, cap=None: semis
+    )
+    code, out, _ = run(capsys, "verify-theorem", "--n", str(n))
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS max-size: 8 == 2^(n-1) = 8",
+        "FAIL count: 3 maximum-size semilattices, expected n = 4",
+        "FAIL set-equality: maximum-size semilattices are exactly the 4 collapse "
+        "semilattices",
+        "PASS boolean: every maximum-size semilattice is a power-set lattice with "
+        "3 atoms",
+        "RESULT FAIL n=4",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["idempotents", "--n", "9"], None),
+        (["maximal", "--in", "-"], "0 1 2 3 4 5 6 7 8\n"),
+        (["et", "--n", "9", "--t", "0", "--format", "json", "--annotate"], None),
+    ],
+    ids=["idempotents", "maximal", "et-annotate"],
+)
+def test_idempotent_listing_above_n8_exits_2(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: T(9) has 293608 idempotents, too many to list "
+        "(n must be at most 8)\n"
+    )
 
 
 def test_usage_errors_exit_2(capsys):

@@ -126,6 +126,55 @@ def test_spectrum_top_row(maximal_by_n):
         assert report.total_maximal == len(maximal_by_n[n])
 
 
+def _clause_names(clauses):
+    return [statement.split(":")[0] for _, statement in clauses]
+
+
+def _without_collapse_family(maximal_by_n, n):
+    missing = sl.collapse_semilattice(n, 0)
+    return tuple(s for s in maximal_by_n[n] if s != missing)
+
+
+def test_extremal_clauses_hold(maximal_by_n):
+    for n in range(1, 6):
+        clauses = sl.extremal_clauses(n, maximal_by_n[n])
+        names = _clause_names(clauses)
+        assert names == ["max-size", "count", "set-equality", "boolean"]
+        assert all(holds for holds, _ in clauses)
+
+
+def test_extremal_clauses_fail_without_a_collapse_family(maximal_by_n):
+    clauses = sl.extremal_clauses(4, _without_collapse_family(maximal_by_n, 4))
+    failed = [c for c in clauses if not c[0]]
+    assert _clause_names(failed) == ["count", "set-equality"]
+
+
+def test_spectrum_names_the_failed_clauses(maximal_by_n, monkeypatch):
+    semis = _without_collapse_family(maximal_by_n, 4)
+    monkeypatch.setattr(
+        enumeration, "enumerate_maximal_semilattices", lambda n, cap=None: semis
+    )
+    message = (
+        r"T\(4\) contradict the theorem: count: 3 maximum-size semilattices, "
+        r"expected n = 4; set-equality: "
+    )
+    with pytest.raises(RuntimeError, match=message):
+        sl.spectrum(4)
+
+
+def test_spectrum_is_symmetric_under_relabelling_the_sink(maximal_by_n):
+    # Each maximal subsemilattice holds exactly one constant, its sink, and
+    # conjugating by a permutation of the points moves the sink: so every
+    # sink has the same size histogram and every count is divisible by n.
+    for n in range(1, 6):
+        assert all(count % n == 0 for count in sl.spectrum(n).counts().values())
+        by_sink = {t: Counter() for t in range(n)}
+        for s in maximal_by_n[n]:
+            (sink,) = {e.images[0] for e in s.elements if len(set(e.images)) == 1}
+            by_sink[sink][len(s)] += 1
+        assert all(hist == by_sink[0] for hist in by_sink.values())
+
+
 def test_spectrum_witnesses_are_verified_and_maximal():
     report = sl.spectrum(3)
     for entry in report.entries:
@@ -152,13 +201,6 @@ def test_enumeration_is_deterministic():
     ja = formats.dumps([formats.semilattice_to_dict(s) for s in a])
     jb = formats.dumps([formats.semilattice_to_dict(s) for s in b])
     assert ja == jb
-
-
-def test_workers_produce_identical_output(maximal_by_n):
-    for n in (3, 4):
-        assert (
-            sl.enumerate_maximal_semilattices(n, workers=2) == maximal_by_n[n]
-        )
 
 
 def _cliques_and_verifier(n):

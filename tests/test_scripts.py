@@ -1,0 +1,39 @@
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_freeze_spectrum_reproduces_the_fixtures(tmp_path):
+    result = _run_script(
+        "freeze_spectrum.py", "--ns", "3", "4", "5", "--out-dir", str(tmp_path)
+    )
+    assert result.returncode == 0, result.stderr
+    for n in (3, 4, 5):
+        name = f"spectrum_n{n}.json"
+        fixture = ROOT / "tests" / "data" / name
+        assert (tmp_path / name).read_bytes() == fixture.read_bytes()
+
+
+def test_spectrum_table_runs():
+    result = _run_script("spectrum_table.py", "--max-n", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("n=1  total=1  max=1")
