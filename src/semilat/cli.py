@@ -1,10 +1,13 @@
 """Command-line interface.
 
-One binary, one subcommand per library entry point.  Each handler takes the
-parsed argparse namespace and calls the library.  Exit status 0 on success
-or PASS, 1 on a verification FAIL, 2 on usage or input errors.  Enumerating
-subcommands take ``--cap`` to lift the default enumeration cap, up to the
-library's hard maximum.
+One binary, one subcommand per library entry point.  ``_COMMANDS`` declares
+each subcommand once, with its handler, the names of its arguments and its
+help text, and ``_ARGUMENTS`` declares each argument's flag and argparse
+keywords once; :func:`build_parser` and :func:`run` both read these tables.
+Each handler takes the parsed argparse namespace and calls the library.
+Exit status 0 on success or PASS, 1 on a verification FAIL, 2 on usage or
+input errors.  Enumerating subcommands take ``--cap`` to lift the default
+enumeration cap, up to the library's hard maximum.
 """
 
 from __future__ import annotations
@@ -13,12 +16,7 @@ import argparse
 import sys
 
 from . import formats
-from .enumeration import (
-    CapExceeded,
-    enumerate_maximal_semilattices,
-    extremal_clauses,
-    spectrum,
-)
+from .enumeration import enumerate_maximal_semilattices, extremal_clauses, spectrum
 from .reduction import reduce_semilattice
 from .semilattice import (
     Semilattice,
@@ -41,6 +39,11 @@ def _read_input(args: argparse.Namespace) -> formats.ParsedFile:
         with open(args.input_path, "r", encoding="utf-8") as fh:
             text = fh.read()
     return formats.parse_transformations(text)
+
+
+def _read_semilattice(args: argparse.Namespace) -> Semilattice:
+    parsed = _read_input(args)
+    return verify_semilattice(parsed.n, parsed.transformations)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -133,8 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_maximal(args: argparse.Namespace) -> int:
-    parsed = _read_input(args)
-    s = verify_semilattice(parsed.n, parsed.transformations)
+    s = _read_semilattice(args)
     result = is_maximal(s)
     if args.format == "json":
         payload = {
@@ -154,8 +156,7 @@ def _cmd_maximal(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    parsed = _read_input(args)
-    s = verify_semilattice(parsed.n, parsed.transformations)
+    s = _read_semilattice(args)
     result = reduce_semilattice(s)
     if args.format == "json":
         _emit(args, formats.dumps(formats.reduction_to_dict(result)))
@@ -165,8 +166,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
-    parsed = _read_input(args)
-    s = verify_semilattice(parsed.n, parsed.transformations)
+    s = _read_semilattice(args)
     name = "transitivity" if args.transitivity else "natural"
     relation = transitivity_order(s) if args.transitivity else natural_order(s)
     if args.format == "json":
@@ -221,17 +221,41 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-_HANDLERS = {
-    "idempotents": _cmd_idempotents,
-    "et": _cmd_et,
-    "verify": _cmd_verify,
-    "maximal": _cmd_maximal,
-    "reduce": _cmd_reduce,
-    "order": _cmd_order,
-    "enumerate": _cmd_enumerate,
-    "spectrum": _cmd_spectrum,
-    "make-size": _cmd_make_size,
-    "verify-theorem": _cmd_verify_theorem,
+# Each argument once: name -> (flag, argparse keywords).
+_ARGUMENTS = {
+    "n": ("--n", {"type": int, "required": True}),
+    "t": ("--t", {"type": int, "required": True}),
+    "m": ("--m", {"type": int, "required": True}),
+    "cap": ("--cap", {"type": int}),
+    "in": ("--in", {"dest": "input_path", "required": True, "metavar": "FILE",
+                    "help": "input file of image words ('-' for stdin)"}),
+    "annotate": ("--annotate", {"action": "store_true"}),
+    "transitivity": ("--transitivity", {"action": "store_true"}),
+    "format": ("--format", {"choices": ("text", "json"), "default": "text"}),
+    "format+csv": ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    "out": ("--out", {"dest": "output_path", "metavar": "FILE"}),
+}
+
+# Each subcommand once: name -> (handler, argument names in help order, help).
+_COMMANDS = {
+    "idempotents": (_cmd_idempotents, "n format out", "list all idempotents of T(n)"),
+    "et": (_cmd_et, "n t annotate format out",
+           "emit the maximal collapse semilattice with sink t"),
+    "verify": (_cmd_verify, "in format out", "check the semilattice axioms on a file"),
+    "maximal": (_cmd_maximal, "in format out",
+                "maximality verdict with extending witness"),
+    "reduce": (_cmd_reduce, "in format out",
+               "anchor, redirect, and restrict to n-1 points"),
+    "order": (_cmd_order, "in transitivity format out",
+              "natural or point transitivity order"),
+    "enumerate": (_cmd_enumerate, "n cap format out",
+                  "all maximal subsemilattices of T(n)"),
+    "spectrum": (_cmd_spectrum, "n cap format+csv out",
+                 "histogram of maximal cardinalities"),
+    "make-size": (_cmd_make_size, "n t m annotate format out",
+                  "subsemilattice of the collapse family with exactly m elements"),
+    "verify-theorem": (_cmd_verify_theorem, "n cap out",
+                       "check the extremal claims at one n"),
 }
 
 
@@ -239,25 +263,7 @@ def run(args: argparse.Namespace) -> int:
     n = getattr(args, "n", None)
     if n is not None:
         _require(n >= 1, f"n must be positive, got {n}")
-    return _HANDLERS[args.command](args)
-
-
-def _add_format(parser, choices=("text", "json")) -> None:
-    parser.add_argument("--format", choices=choices, default="text")
-
-
-def _add_io_out(parser) -> None:
-    parser.add_argument("--out", dest="output_path", default=None, metavar="FILE")
-
-
-def _add_io_in(parser) -> None:
-    parser.add_argument(
-        "--in",
-        dest="input_path",
-        required=True,
-        metavar="FILE",
-        help="input file of image words ('-' for stdin)",
-    )
+    return _COMMANDS[args.command][0](args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,66 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
         "idempotent families in finite full transformation semigroups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("idempotents", help="list all idempotents of T(n)")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("et", help="emit the maximal collapse semilattice with sink t")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--annotate", action="store_true")
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("verify", help="check the semilattice axioms on a file")
-    _add_io_in(p)
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("maximal", help="maximality verdict with extending witness")
-    _add_io_in(p)
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("reduce", help="anchor, redirect, and restrict to n-1 points")
-    _add_io_in(p)
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("order", help="natural or point transitivity order")
-    _add_io_in(p)
-    p.add_argument("--transitivity", action="store_true")
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("enumerate", help="all maximal subsemilattices of T(n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("spectrum", help="histogram of maximal cardinalities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    _add_format(p, choices=("text", "json", "csv"))
-    _add_io_out(p)
-
-    p = sub.add_parser("make-size", help="subsemilattice of the collapse family "
-                       "with exactly m elements")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--annotate", action="store_true")
-    _add_format(p)
-    _add_io_out(p)
-
-    p = sub.add_parser("verify-theorem", help="check the extremal claims at one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    _add_io_out(p)
-
+    for command, (_, names, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            flag, keywords = _ARGUMENTS[name]
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -338,7 +289,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (formats.ParseError, CapExceeded, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .semilattice import (
     Semilattice,
@@ -97,7 +96,6 @@ class CommutingGraph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-@lru_cache(maxsize=None)
 def build_commuting_graph(n: int) -> CommutingGraph:
     """Edges between distinct commuting idempotents, via the block test."""
     verts = enumerate_idempotents(n)
@@ -144,7 +142,7 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:
 def _maximal_clique_bitsets(rows: tuple[int, ...]) -> list[int]:
     out: list[int] = []
     _bron_kerbosch(rows, 0, (1 << len(rows)) - 1, 0, out)
-    return sorted(out)
+    return out
 
 
 def _semilattice_sort_key(s: Semilattice):
@@ -240,11 +238,6 @@ def _enumerate(n: int) -> tuple[Semilattice, ...]:
     return tuple(semis)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int) -> tuple[Semilattice, ...]:
-    return _enumerate(n)
-
-
 def enumerate_maximal_semilattices(
     n: int, cap: int | None = None
 ) -> tuple[Semilattice, ...]:
@@ -253,7 +246,7 @@ def enumerate_maximal_semilattices(
     Output is sorted by size descending, then lexicographically on the carrier.
     """
     _check_cap(n, cap)
-    return _enumerate_cached(n)
+    return _enumerate(n)
 
 
 def _largest(semis: tuple[Semilattice, ...]) -> tuple[Semilattice, ...]:

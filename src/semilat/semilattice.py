@@ -15,11 +15,12 @@ isomorphic to the power set of the non-sink points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce as _fold
+from functools import reduce as _fold
 from typing import Iterable, Optional
 
 from .transform import (
     Transformation,
+    check_points,
     commutes_with_idempotent,
     compose,
     enumerate_idempotents,
@@ -199,22 +200,14 @@ def collapse_map(n: int, t: int, kept: Iterable[int]) -> Transformation:
     return Transformation(n, tuple(images))
 
 
-@lru_cache(maxsize=None)
 def collapse_semilattice(n: int, t: int) -> Semilattice:
     """All 2^(n-1) collapse maps with sink t: the extremal subsemilattice.
 
     Closure is by construction (the product of the maps keeping A and B is the
-    map keeping A ∩ B), so the carrier is assembled directly.
+    map keeping A ∩ B), so the carrier is assembled directly: it is
+    :func:`semilattice_of_size` with nothing deleted.
     """
-    if not 0 <= t < n:
-        raise ValueError(f"sink {t} outside [0, {n})")
-    others = [x for x in range(n) if x != t]
-    elems = []
-    for mask in range(1 << (n - 1)):
-        kept = [others[i] for i in range(n - 1) if (mask >> i) & 1]
-        elems.append(collapse_map(n, t, kept))
-    elems.sort(key=lambda e: e.images)
-    return Semilattice(n, tuple(elems))
+    return semilattice_of_size(n, t, 1 << (n - 1))
 
 
 def is_injective_except_sink(t: int, a: Transformation) -> bool:
@@ -243,9 +236,7 @@ class MaximalityResult:
         return self.is_maximal
 
 
-def is_maximal(
-    s: Semilattice, all_idempotents: Optional[tuple[Transformation, ...]] = None
-) -> MaximalityResult:
+def is_maximal(s: Semilattice) -> MaximalityResult:
     """Whether no idempotent outside the carrier commutes with all of it.
 
     An outside idempotent commuting with everything would generate a strictly
@@ -253,13 +244,10 @@ def is_maximal(
     commuting with every common centralizer), so this single-element scan
     decides maximality.  The witness is the first extender in canonical order.
     """
-    idems = all_idempotents if all_idempotents is not None else enumerate_idempotents(s.n)
     members = set(s.elements)
-    for f in idems:
-        if f in members:
-            continue
-        dec = orbit_decomposition(f)
-        if all(commutes_with_idempotent(dec, e) for e in s.elements):
+    decs = [orbit_decomposition(e) for e in s.elements]
+    for f in enumerate_idempotents(s.n):
+        if f not in members and all(commutes_with_idempotent(d, f) for d in decs):
             return MaximalityResult(False, f)
     return MaximalityResult(True, None)
 
@@ -349,6 +337,7 @@ def semilattice_of_size(n: int, t: int, m: int) -> Semilattice:
     deletion order is: size descending, lexicographic ascending within a size.
     Every prefix of deletions leaves a family closed under intersection.
     """
+    check_points(n)
     if not 0 <= t < n:
         raise ValueError(f"sink {t} outside [0, {n})")
     total = 1 << (n - 1)

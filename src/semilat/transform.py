@@ -18,6 +18,12 @@ MAX_POINTS = 16  # masks must stay comfortably inside a machine word
 MAX_IDEMPOTENT_POINTS = 8  # T(8) has 41 393 idempotents, T(9) 293 608
 
 
+def check_points(n: int) -> None:
+    """Reject a ground-set size outside [1, ``MAX_POINTS``]."""
+    if not 1 <= n <= MAX_POINTS:
+        raise ValueError(f"ground-set size must be in [1, {MAX_POINTS}], got {n}")
+
+
 def points(mask: int) -> tuple[int, ...]:
     """Decode a bit mask into its ascending tuple of points."""
     out = []
@@ -48,10 +54,7 @@ class Transformation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_POINTS:
-            raise ValueError(
-                f"ground-set size must be in [1, {MAX_POINTS}], got {self.n}"
-            )
+        check_points(self.n)
         if not isinstance(self.images, tuple):
             object.__setattr__(self, "images", tuple(self.images))
         if len(self.images) != self.n:
@@ -211,8 +214,7 @@ def enumerate_idempotents(n: int) -> tuple[Transformation, ...]:
     full list is generated directly rather than by scanning all n^n maps.
     The list grows too fast to build above ``MAX_IDEMPOTENT_POINTS`` points.
     """
-    if not 1 <= n <= MAX_POINTS:
-        raise ValueError(f"ground-set size must be in [1, {MAX_POINTS}], got {n}")
+    check_points(n)
     if n > MAX_IDEMPOTENT_POINTS:
         count = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
         raise ValueError(

@@ -220,6 +220,12 @@ def test_make_size(capsys):
     assert "m=5" in err
 
 
+def test_make_size_above_max_points_exits_2(capsys):
+    code, out, err = run(capsys, "make-size", "--n", "40", "--t", "0", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: ground-set size must be in [1, 16], got 40\n"
+
+
 def test_annotated_json(capsys):
     code, out, _ = run(
         capsys, "et", "--n", "3", "--t", "1", "--format", "json", "--annotate"

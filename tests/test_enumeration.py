@@ -1,11 +1,12 @@
 """The commuting graph, clique search, and the brute-force oracle."""
 
+import hashlib
 from collections import Counter
 
 import pytest
 
 import semilat as sl
-from semilat import enumeration, formats, make_transformation
+from semilat import cli, enumeration, formats, make_transformation
 from semilat.transform import points
 
 
@@ -281,3 +282,28 @@ def test_optional_n6_extremal_row():
     report = sl.spectrum(6, cap=6)
     assert report.max_size == 32
     assert report.counts()[32] == 6
+
+
+N6_COUNTS = {
+    6: 6390, 7: 3060, 8: 3240, 9: 1440, 10: 3120, 11: 360, 12: 2160, 13: 360,
+    14: 720, 15: 360, 16: 540, 17: 30, 18: 480, 20: 180, 24: 120, 32: 6,
+}
+N6_SPECTRUM_SHA256 = "80611d15539c00adced36cacea96dceb7f833df015712badf047dd230e79d699"
+
+
+@pytest.mark.slow
+def test_optional_n6_spectrum_is_frozen_and_sink_symmetric(capsys):
+    # exploratory counts: frozen, never corrected
+    semis = sl.enumerate_maximal_semilattices(6, cap=6)
+    assert Counter(len(s) for s in semis) == N6_COUNTS
+    assert all(count % 6 == 0 for count in N6_COUNTS.values())
+    by_sink = {t: Counter() for t in range(6)}
+    for s in semis:
+        (sink,) = {e.images[0] for e in s.elements if len(set(e.images)) == 1}
+        by_sink[sink][len(s)] += 1
+    for hist in by_sink.values():
+        assert hist == {size: count // 6 for size, count in N6_COUNTS.items()}
+        assert hist.total() == 3761
+    assert cli.main(["spectrum", "--n", "6", "--cap", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == N6_SPECTRUM_SHA256

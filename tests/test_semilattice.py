@@ -204,6 +204,26 @@ def test_is_maximal_agrees_with_brute_force(oracle_by_n):
                 assert all(sl.commutes(res.witness, e) for e in s.elements)
 
 
+def test_is_maximal_witness_is_the_first_extender():
+    # the witness must be the first outside idempotent, in canonical order,
+    # that commutes with every member, found here by a naive scan
+    idems = sl.enumerate_idempotents(5)
+    for t in range(5):
+        for m in range(1, 17):
+            s = sl.semilattice_of_size(5, t, m)
+            first = next(
+                (
+                    f
+                    for f in idems
+                    if f not in s.elements
+                    and all(sl.commutes(f, e) for e in s.elements)
+                ),
+                None,
+            )
+            res = sl.is_maximal(s)
+            assert (res.is_maximal, res.witness) == (first is None, first)
+
+
 def test_boolean_lattice_on_collapse_families():
     for n in range(1, 6):
         for t in range(n):
@@ -262,6 +282,15 @@ def test_semilattice_of_size_examples():
         sl.semilattice_of_size(3, 0, 5)
     with pytest.raises(ValueError):
         sl.semilattice_of_size(3, 0, 0)
+
+
+def test_semilattice_of_size_rejects_n_above_max_points_before_building():
+    # 2^39 kept-sets would be listed before any map checked n
+    message = r"ground-set size must be in \[1, 16\], got 40"
+    with pytest.raises(ValueError, match=message):
+        sl.semilattice_of_size(40, 0, 1)
+    with pytest.raises(ValueError, match=message):
+        sl.collapse_semilattice(40, 0)
 
 
 def test_semilattice_of_size_every_size_verifies():
