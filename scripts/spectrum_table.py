@@ -16,10 +16,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
+    if args.max_n > HARD_CAP:
+        parser.error(f"--max-n {args.max_n} exceeds the hard maximum {HARD_CAP}")
 
     for n in range(1, args.max_n + 1):
         start = time.perf_counter()
-        report = spectrum(n, cap=min(args.max_n, HARD_CAP))
+        report = spectrum(n, cap=args.max_n)
         elapsed = time.perf_counter() - start
         counts = report.counts()
         attained = sorted(counts)

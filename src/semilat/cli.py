@@ -3,8 +3,10 @@
 One binary, one subcommand per library entry point.  ``_COMMANDS`` declares
 each subcommand once, with its handler, the names of its arguments and its
 help text, and ``_ARGUMENTS`` declares each argument's flag and argparse
-keywords once; :func:`build_parser` and :func:`run` both read these tables.
-Each handler takes the parsed argparse namespace and calls the library.
+keywords once; :func:`build_parser` and :func:`main` both read these tables.
+Each handler takes the parsed argparse namespace and calls the library, which
+checks every argument (n, t, m, the cap, input files); the CLI checks none
+itself and maps the library's ``ValueError`` or ``OSError`` to exit status 2.
 Exit status 0 on success or PASS, 1 on a verification FAIL, 2 on usage or
 input errors.  Enumerating subcommands take ``--cap`` to lift the default
 enumeration cap, up to the library's hard maximum.
@@ -54,11 +56,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             fh.write(text)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
 def _annotations(s: Semilattice) -> dict:
     maximality = is_maximal(s)
     boolean = is_boolean_lattice(s)
@@ -99,14 +96,10 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def _cmd_et(args: argparse.Namespace) -> int:
-    _require(0 <= args.t < args.n, f"t={args.t} outside [0, {args.n})")
     return _emit_semilattice(args, collapse_semilattice(args.n, args.t), args.t)
 
 
 def _cmd_make_size(args: argparse.Namespace) -> int:
-    _require(0 <= args.t < args.n, f"t={args.t} outside [0, {args.n})")
-    top = 1 << (args.n - 1)
-    _require(1 <= args.m <= top, f"m={args.m} outside [1, {top}]")
     s = semilattice_of_size(args.n, args.t, args.m)
     return _emit_semilattice(args, s, args.t)
 
@@ -259,13 +252,6 @@ _COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
-    n = getattr(args, "n", None)
-    if n is not None:
-        _require(n >= 1, f"n must be positive, got {n}")
-    return _COMMANDS[args.command][0](args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semilat",
@@ -288,7 +274,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return run(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .semilattice import (
 )
 from .transform import (
     Transformation,
+    check_points,
     commutes_with_idempotent,
     enumerate_idempotents,
     orbit_decomposition,
@@ -46,18 +47,13 @@ class CapExceeded(ValueError):
     """Requested ground set is above the configured enumeration cap."""
 
 
-def _effective_cap(cap: int | None) -> int:
-    return min(DEFAULT_CAP if cap is None else cap, HARD_CAP)
-
-
 def _check_cap(n: int, cap: int | None) -> None:
-    limit = _effective_cap(cap)
-    if n < 1:
-        raise ValueError(f"ground-set size must be positive, got {n}")
+    limit = min(DEFAULT_CAP if cap is None else cap, HARD_CAP)
     if n > limit:
         raise CapExceeded(
             f"n={n} exceeds the enumeration cap {limit} (hard maximum {HARD_CAP})"
         )
+    check_points(n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from .reduction import ReductionResult
 from .semilattice import PosetRelation, Semilattice
 from .transform import Transformation
 
-_HEADER_RE = re.compile(r"^n=(\d+)(?:\s+t=(\d+))?\s+size=(\d+)$")
+_HEADER_RE = re.compile(r"^n=(\d+)(?:\s+t=\d+)?\s+size=(\d+)$")
 
 
 class ParseError(ValueError):
@@ -33,13 +33,12 @@ class ParseError(ValueError):
 class ParsedFile:
     n: int
     transformations: tuple[Transformation, ...]
-    header: Optional[dict] = None
 
 
 def parse_transformations(text: str) -> ParsedFile:
     """Parse an image-word file, honoring comments and an optional header."""
     n: Optional[int] = None
-    header: Optional[dict] = None
+    announced: Optional[int] = None  # the header's size
     seen_content = False
     out: list[Transformation] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -50,10 +49,7 @@ def parse_transformations(text: str) -> ParsedFile:
             seen_content = True
             m = _HEADER_RE.match(line)
             if m:
-                header = {"n": int(m.group(1)), "size": int(m.group(3))}
-                if m.group(2) is not None:
-                    header["t"] = int(m.group(2))
-                n = header["n"]
+                n, announced = int(m.group(1)), int(m.group(2))
                 continue
         tokens = line.split()
         try:
@@ -72,11 +68,11 @@ def parse_transformations(text: str) -> ParsedFile:
             raise ParseError(lineno, str(exc)) from None
     if not out:
         raise ParseError(1, "no transformations found")
-    if header is not None and header["size"] != len(out):
+    if announced is not None and announced != len(out):
         raise ParseError(
-            1, f"header announces size={header['size']} but file has {len(out)} maps"
+            1, f"header announces size={announced} but file has {len(out)} maps"
         )
-    return ParsedFile(n, tuple(out), header)
+    return ParsedFile(n, tuple(out))
 
 
 def semilattice_header(s: Semilattice, t: Optional[int] = None) -> str:

@@ -118,9 +118,6 @@ class Semilattice:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, t: Transformation) -> bool:
-        return t in set(self.elements)
-
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical sort/deduplication key: the tuple of image tables."""
         return tuple(e.images for e in self.elements)
@@ -186,10 +183,15 @@ def meet(s: Semilattice, a: Transformation, b: Transformation) -> Transformation
     return compose(a, b)
 
 
+def _check_sink(n: int, t: int) -> None:
+    """Reject a sink outside the ground set [0, n)."""
+    if not 0 <= t < n:
+        raise ValueError(f"t={t} outside [0, {n})")
+
+
 def collapse_map(n: int, t: int, kept: Iterable[int]) -> Transformation:
     """The map fixing each point of ``kept`` and sending every other point to t."""
-    if not 0 <= t < n:
-        raise ValueError(f"sink {t} outside [0, {n})")
+    _check_sink(n, t)
     keep = set(kept)
     if t in keep:
         raise ValueError(f"kept set may not contain the sink {t}")
@@ -207,6 +209,7 @@ def collapse_semilattice(n: int, t: int) -> Semilattice:
     map keeping A ∩ B), so the carrier is assembled directly: it is
     :func:`semilattice_of_size` with nothing deleted.
     """
+    check_points(n)
     return semilattice_of_size(n, t, 1 << (n - 1))
 
 
@@ -217,8 +220,7 @@ def is_injective_except_sink(t: int, a: Transformation) -> bool:
     The idempotents satisfying this for a fixed t are exactly the collapse
     maps with sink t.
     """
-    if not 0 <= t < a.n:
-        raise ValueError(f"sink {t} outside [0, {a.n})")
+    _check_sink(a.n, t)
     if a.images[t] != t:
         return False
     counts = [0] * a.n
@@ -338,11 +340,10 @@ def semilattice_of_size(n: int, t: int, m: int) -> Semilattice:
     Every prefix of deletions leaves a family closed under intersection.
     """
     check_points(n)
-    if not 0 <= t < n:
-        raise ValueError(f"sink {t} outside [0, {n})")
+    _check_sink(n, t)
     total = 1 << (n - 1)
     if not 1 <= m <= total:
-        raise ValueError(f"size {m} outside [1, {total}]")
+        raise ValueError(f"m={m} outside [1, {total}]")
     others = [x for x in range(n) if x != t]
     subsets = []
     for mask in range(total):

@@ -312,3 +312,98 @@ def test_library_formats_match_cli(capsys):
     assert formats.format_semilattice_text(s, 0) == ET30_TEXT
     report = sl.spectrum(2)
     assert formats.spectrum_to_csv(report) == "n,size,count\n2,2,2\n"
+
+
+def _n_error(n):
+    return f"error: ground-set size must be in [1, 16], got {n}\n"
+
+
+# Every bad n, t and m is rejected by the library, never by the CLI: each
+# case exits 2, writes nothing to stdout and names the bad value.  A bad n is
+# reported before a bad t, and a bad t before a bad m.
+BAD_ARGUMENTS = [
+    ("et --n 0 --t 0", _n_error(0)),
+    ("et --n -2 --t 0", _n_error(-2)),
+    ("et --n 40 --t 0", _n_error(40)),
+    ("et --n 3 --t 5", "error: t=5 outside [0, 3)\n"),
+    ("et --n 3 --t 99", "error: t=99 outside [0, 3)\n"),
+    ("et --n 40 --t 99", _n_error(40)),
+    ("make-size --n 3 --t 5 --m 1", "error: t=5 outside [0, 3)\n"),
+    ("make-size --n 3 --t 5 --m 0", "error: t=5 outside [0, 3)\n"),
+    ("make-size --n 3 --t 0 --m 0", "error: m=0 outside [1, 4]\n"),
+    ("make-size --n 3 --t 0 --m 5", "error: m=5 outside [1, 4]\n"),
+    ("make-size --n 0 --t 0 --m 1", _n_error(0)),
+    ("make-size --n 40 --t 99 --m 1", _n_error(40)),
+    ("idempotents --n 0", _n_error(0)),
+    ("idempotents --n 17", _n_error(17)),
+    ("enumerate --n 0", _n_error(0)),
+    ("spectrum --n -1", _n_error(-1)),
+    ("verify-theorem --n 0", _n_error(0)),
+    ("spectrum --n 7", "error: n=7 exceeds the enumeration cap 5 (hard maximum 6)\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, err", BAD_ARGUMENTS, ids=[argv for argv, _ in BAD_ARGUMENTS]
+)
+def test_bad_arguments_exit_2_with_the_library_message(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", err)
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+IDEMPOTENTS_N3 = [
+    [0, 0, 0], [0, 0, 2], [0, 1, 0], [0, 1, 1], [0, 1, 2],
+    [0, 2, 2], [1, 1, 1], [1, 1, 2], [2, 1, 2], [2, 2, 2],
+]
+CLOSURE_GAP = "0 0 2\n0 1 0\n"  # their product 0 0 0 is missing
+ET30_LESS_TOP = "0 0 0\n0 0 2\n0 1 0\n"  # extended by the identity
+
+# (argv, stdin, exit code, stdout) of every output path at n = 3.
+OUTPUTS_N3 = [
+    ("reduce --in -", ET30_TEXT, 0,
+     "anchor: t=0 u=1\nsizes: S=4 S_star=2 S_star_u=2\n"
+     "star:\nn=3 size=2\n0 0 0\n0 0 2\n"
+     "restricted:\nn=2 size=2\n0 0\n0 1\n"),
+    ("order --in -", ET30_TEXT, 0,
+     "order=natural n=3 size=4\ncarrier:\n0: 0 0 0\n1: 0 0 2\n2: 0 1 0\n3: 0 1 2\n"
+     "leq:\n1 1 1 1\n0 1 0 1\n0 0 1 1\n0 0 0 1\n"),
+    ("order --in - --transitivity", ET30_TEXT, 0,
+     "order=transitivity n=3 size=3\ncarrier:\n0: 0\n1: 1\n2: 2\n"
+     "leq:\n1 1 1\n0 1 0\n0 0 1\n"),
+    ("idempotents --n 3 --format json", None, 0,
+     _json({"count": 10, "idempotents": IDEMPOTENTS_N3, "n": 3})),
+    ("verify --in - --format json", ET30_TEXT, 0,
+     _json({"n": 3, "size": 4, "valid": True})),
+    ("verify --in - --format json", CLOSURE_GAP, 1,
+     _json({"axiom": "closure", "elements": [[0, 0, 2], [0, 1, 0]],
+            "missing_product": [0, 0, 0], "valid": False})),
+    ("maximal --in - --format json", ET30_TEXT, 0,
+     _json({"maximal": True, "n": 3, "size": 4, "witness": None})),
+    ("maximal --in - --format json", ET30_LESS_TOP, 1,
+     _json({"maximal": False, "n": 3, "size": 3, "witness": [0, 1, 2]})),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out",
+    OUTPUTS_N3,
+    ids=[
+        "reduce", "order", "order-transitivity", "idempotents-json",
+        "verify-json-valid", "verify-json-closure", "maximal-json-yes",
+        "maximal-json-no",
+    ],
+)
+def test_output_bytes_n3(capsys, monkeypatch, argv, stdin, code, out):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, *argv.split()) == (code, out, "")
+
+
+def test_parse_error_names_a_non_integer_word(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n0 x 0\n"))
+    assert run(capsys, "verify", "--in", "-") == (
+        2, "", "error: line 2: not an image word: '0 x 0'\n"
+    )

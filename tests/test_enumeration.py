@@ -195,6 +195,16 @@ def test_enumeration_cap():
         sl.enumerate_maximal_semilattices(0)
 
 
+def test_enumeration_rejects_n_below_one_before_any_work(monkeypatch):
+    def fail(n):
+        raise AssertionError(f"enumerated at n={n}")
+
+    monkeypatch.setattr(enumeration, "_enumerate", fail)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=rf"must be in \[1, 16\], got {n}$"):
+            sl.enumerate_maximal_semilattices(n, cap=6)
+
+
 def test_enumeration_is_deterministic():
     a = enumeration._enumerate(3)
     b = enumeration._enumerate(3)

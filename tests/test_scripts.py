@@ -37,3 +37,9 @@ def test_spectrum_table_runs():
     result = _run_script("spectrum_table.py", "--max-n", "3")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("n=1  total=1  max=1")
+
+
+def test_spectrum_table_refuses_max_n_above_the_hard_cap():
+    result = _run_script("spectrum_table.py", "--max-n", "7")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "--max-n 7 exceeds the hard maximum 6" in result.stderr

@@ -293,6 +293,35 @@ def test_semilattice_of_size_rejects_n_above_max_points_before_building():
         sl.collapse_semilattice(40, 0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_collapse_semilattice_rejects_n_below_one(n):
+    # checked before 2^(n-1) is formed, which fails on a negative shift count
+    message = rf"^ground-set size must be in \[1, 16\], got {n}$"
+    with pytest.raises(ValueError, match=message):
+        sl.collapse_semilattice(n, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sl.semilattice_of_size(3, 9, 1), "t=9 outside [0, 3)"),
+        (lambda: sl.collapse_map(3, 5, []), "t=5 outside [0, 3)"),
+        (lambda: sl.is_injective_except_sink(5, sl.identity(3)), "t=5 outside [0, 3)"),
+        (lambda: sl.semilattice_of_size(3, 0, 9), "m=9 outside [1, 4]"),
+    ],
+    ids=["size-sink", "map-sink", "injective-sink", "size-m"],
+)
+def test_argument_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_membership_is_carrier_membership():
+    s = sl.collapse_semilattice(3, 0)
+    assert [e in s for e in (T(3, [0, 1, 0]), sl.constant(3, 1))] == [True, False]
+
+
 def test_semilattice_of_size_every_size_verifies():
     for n in range(1, 5):
         for t in range(n):
