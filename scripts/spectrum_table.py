@@ -16,6 +16,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=5)
     args = parser.parse_args()
+    if args.max_n < 1:
+        parser.error(f"--max-n {args.max_n} is below 1")
     if args.max_n > HARD_CAP:
         parser.error(f"--max-n {args.max_n} exceeds the hard maximum {HARD_CAP}")
 

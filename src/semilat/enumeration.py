@@ -1,20 +1,31 @@
 """Exhaustive search for maximal subsemilattices of T(n).
 
-The substrate is the commuting graph over all idempotents: vertices in
+Every maximal subsemilattice holds exactly one constant map c_t, the constant
+to its sink t (the anchor lemma), and conjugating by the transposition (0 t)
+of the points maps the families with sink 0 one-to-one onto those with sink
+t.  So the search runs only on the idempotents that fix 0, which is c_0's
+closed neighbourhood in the commuting graph, and the other sinks are got by
+conjugation.
+
+The substrate is the commuting graph over those idempotents: vertices in
 canonical order, adjacency decided by the block-wise commuting test.  Maximal
-subsemilattices coincide with maximal cliques of that graph — the product of
-two commuting idempotents is an idempotent commuting with every common
-neighbor, so a maximal clique is automatically product-closed, and a clique
-strictly containing a subsemilattice generates a strictly larger one.  That
-identification is not taken on faith: the n <= 3 brute-force oracle pins it
-in the test suite, and every emitted clique is re-verified axiom by axiom on
-a second route that never reads the graph — naive composition of the
-vertices' image tables, memoised per pair of vertex indices.
+subsemilattices coincide with maximal cliques of the commuting graph — the
+product of two commuting idempotents is an idempotent commuting with every
+common neighbor, so a maximal clique is automatically product-closed, and a
+clique strictly containing a subsemilattice generates a strictly larger one.
+c_0 is adjacent to every vertex of its neighbourhood, so the maximal cliques
+there are exactly the maximal cliques of the whole graph that contain c_0.
+None of this is taken on faith: the n <= 3 brute-force oracle pins the
+clique identification in the test suite, the full graph over all idempotents
+stays as the oracle for the sink-0 search and the conjugation, and every
+emitted clique is re-verified axiom by axiom on a second route that never
+reads the graph — naive composition of the vertices' image tables, memoised
+per pair of vertex indices.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
-excluded sets held as bit vectors indexed by idempotent index, in one
-process: the identity commutes with every idempotent, so the top level of
-the search is a single branch and there is nothing to split between workers.
+excluded sets held as bit vectors indexed by vertex index, in one process:
+c_0 commutes with every vertex, so the top level of the search is a single
+branch and there is nothing to split between workers.
 """
 
 from __future__ import annotations
@@ -92,9 +103,15 @@ class CommutingGraph:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
-def build_commuting_graph(n: int) -> CommutingGraph:
-    """Edges between distinct commuting idempotents, via the block test."""
-    verts = enumerate_idempotents(n)
+def build_commuting_graph(
+    n: int, vertices: tuple[Transformation, ...] | None = None
+) -> CommutingGraph:
+    """Edges between distinct commuting idempotents, via the block test.
+
+    The vertices are ``vertices`` in the given order, by default every
+    idempotent of T(n).
+    """
+    verts = enumerate_idempotents(n) if vertices is None else vertices
     decs = [orbit_decomposition(e) for e in verts]
     v = len(verts)
     rows = [0] * v
@@ -216,22 +233,61 @@ class _CliqueVerifier:
         )
 
 
-def _enumerate(n: int) -> tuple[Semilattice, ...]:
-    graph = build_commuting_graph(n)
+def _sink_zero_families(n: int) -> tuple[Semilattice, ...]:
+    """The maximal subsemilattices of T(n) that contain the constant c_0,
+    verified, in search order."""
+    verts = tuple(e for e in enumerate_idempotents(n) if e.images[0] == 0)
+    graph = build_commuting_graph(n, verts)
     rows = graph.rows
-    cliques = _maximal_clique_bitsets(rows)
     verifier = _CliqueVerifier(n, graph.vertices)
     semis = []
     full = (1 << len(rows)) - 1
-    for clique in cliques:
+    for clique in _maximal_clique_bitsets(rows):
         common = full
         for i in points(clique):
             common &= rows[i]
         if common:
             raise RuntimeError("search emitted a non-maximal clique")
         semis.append(verifier.semilattice(clique))
+    return tuple(semis)
+
+
+def _conjugates(
+    n: int, t: int, semis: tuple[Semilattice, ...]
+) -> list[Semilattice]:
+    """Each of ``semis`` conjugated by the transposition (0 t) of the points."""
+    swap = list(range(n))
+    swap[0], swap[t] = t, 0
+    # each element sits in many families: build its conjugate once
+    image: dict[Transformation, Transformation] = {}
+
+    def conjugate(e: Transformation) -> Transformation:
+        c = image.get(e)
+        if c is None:
+            a = e.images
+            c = image[e] = Transformation(n, tuple(swap[a[y]] for y in swap))
+        return c
+
+    return [
+        Semilattice(n, tuple(sorted(map(conjugate, s), key=lambda e: e.images)))
+        for s in semis
+    ]
+
+
+def _with_conjugates(
+    n: int, sink_zero: tuple[Semilattice, ...]
+) -> tuple[Semilattice, ...]:
+    """Sink-0 families and their conjugates under (0 t) for t = 1..n-1, in
+    canonical order."""
+    semis = list(sink_zero)
+    for t in range(1, n):
+        semis += _conjugates(n, t, sink_zero)
     semis.sort(key=_semilattice_sort_key)
     return tuple(semis)
+
+
+def _enumerate(n: int) -> tuple[Semilattice, ...]:
+    return _with_conjugates(n, _sink_zero_families(n))
 
 
 def enumerate_maximal_semilattices(
@@ -259,7 +315,8 @@ def extremal_clauses(
     n: int, semis: tuple[Semilattice, ...]
 ) -> tuple[tuple[bool, str], ...]:
     """The extremal theorem checked on ``semis``, the maximal subsemilattices
-    of T(n) in canonical order: one ``(holds, statement)`` pair per clause.
+    of T(n) in canonical order, or at least all the largest of them: one
+    ``(holds, statement)`` pair per clause.
 
     The clauses are that the largest size is 2^(n-1), that exactly n reach
     it, that they are the n collapse families, and that each is the power-set
@@ -315,28 +372,35 @@ class SpectrumReport:
 
 
 def spectrum(n: int, cap: int | None = None) -> SpectrumReport:
-    """Group the full enumeration by cardinality.
+    """Group the maximal subsemilattices by cardinality.
 
-    The witness for each size is the canonically smallest maximal
-    subsemilattice of that size, so reports are deterministic.  Raises
-    RuntimeError naming the failed clauses if the enumeration contradicts
-    the extremal theorem.
+    Only the sink-0 families are grouped: conjugation by (0 t) carries them
+    one-to-one onto the sink-t families, so each count is n times the sink-0
+    count.  The witness for each size is the canonically smallest maximal
+    subsemilattice of that size, so reports are deterministic; it has sink 0,
+    since c_0 = (0, ..., 0) is the smallest image table and no other sink's
+    family contains it.  Raises RuntimeError naming the failed clauses if
+    the conjugates of the largest sink-0 families contradict the extremal
+    theorem.
     """
-    semis = enumerate_maximal_semilattices(n, cap=cap)
-    failed = [statement for holds, statement in extremal_clauses(n, semis) if not holds]
+    _check_cap(n, cap)
+    by_size: dict[int, list[Semilattice]] = {}
+    for s in _sink_zero_families(n):
+        by_size.setdefault(len(s), []).append(s)
+    top = max(by_size)
+    winners = _with_conjugates(n, tuple(by_size[top]))
+    failed = [statement for holds, statement in extremal_clauses(n, winners) if not holds]
     if failed:
         raise RuntimeError(
             f"the maximal subsemilattices of T({n}) contradict the theorem: "
             + "; ".join(failed)
         )
-    by_size: dict[int, list[Semilattice]] = {}
-    for s in semis:
-        by_size.setdefault(len(s), []).append(s)
     entries = tuple(
-        SpectrumEntry(size, len(group), min(group, key=Semilattice.key))
+        SpectrumEntry(size, n * len(group), min(group, key=Semilattice.key))
         for size, group in sorted(by_size.items())
     )
-    return SpectrumReport(n, entries, len(semis), max(by_size))
+    total = n * sum(len(group) for group in by_size.values())
+    return SpectrumReport(n, entries, total, top)
 
 
 def brute_force_subsemilattices(n: int) -> tuple[Semilattice, ...]:

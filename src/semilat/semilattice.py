@@ -191,6 +191,7 @@ def _check_sink(n: int, t: int) -> None:
 
 def collapse_map(n: int, t: int, kept: Iterable[int]) -> Transformation:
     """The map fixing each point of ``kept`` and sending every other point to t."""
+    check_points(n)
     _check_sink(n, t)
     keep = set(kept)
     if t in keep:

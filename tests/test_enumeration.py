@@ -69,9 +69,95 @@ def test_enumerate_output_is_canonically_sorted(maximal_by_n):
         assert len(set(semis)) == len(semis)
 
 
-def test_every_maximal_semilattice_has_exactly_one_constant(maximal_by_n):
+def _full_graph_families(n):
+    """Every maximal subsemilattice of T(n) from the commuting graph over all
+    idempotents, in canonical order: the search without the sink-0 reduction,
+    kept as the oracle for it and for the conjugation."""
+    cliques, verifier = _cliques_and_verifier(n)
+    semis = [verifier.semilattice(clique) for clique in cliques]
+    semis.sort(key=enumeration._semilattice_sort_key)
+    return tuple(semis)
+
+
+@pytest.fixture(scope="module")
+def full_graph_by_n():
+    return {n: _full_graph_families(n) for n in range(1, 6)}
+
+
+@pytest.fixture(scope="module")
+def n6_oracle():
+    return _full_graph_families(6)
+
+
+def _report_from(n, semis):
+    """The spectrum report grouped from a full listing."""
+    by_size = {}
+    for s in semis:
+        by_size.setdefault(len(s), []).append(s)
+    entries = tuple(
+        enumeration.SpectrumEntry(size, len(group), min(group, key=sl.Semilattice.key))
+        for size, group in sorted(by_size.items())
+    )
+    return enumeration.SpectrumReport(n, entries, len(semis), max(by_size))
+
+
+def _sink_histograms(n, semis):
+    """Size histogram per sink, where the sink is the family's one constant."""
+    by_sink = {t: Counter() for t in range(n)}
+    for s in semis:
+        (sink,) = {e.images[0] for e in s.elements if len(set(e.images)) == 1}
+        by_sink[sink][len(s)] += 1
+    return by_sink
+
+
+def test_conjugated_listing_equals_the_full_graph_oracle(
+    maximal_by_n, full_graph_by_n
+):
+    for n in range(1, 6):
+        assert maximal_by_n[n] == full_graph_by_n[n]
+        assert sl.spectrum(n) == _report_from(n, full_graph_by_n[n])
+
+
+@pytest.mark.slow
+def test_optional_n6_conjugated_listing_equals_the_full_graph_oracle(n6_oracle):
+    assert sl.enumerate_maximal_semilattices(6, cap=6) == n6_oracle
+    assert sl.spectrum(6, cap=6) == _report_from(6, n6_oracle)
+
+
+def test_conjugation_by_a_transposition_moves_the_collapse_sink():
+    for n in range(1, 7):
+        sink_zero = (sl.collapse_semilattice(n, 0),)
+        for t in range(n):
+            conjugated = enumeration._conjugates(n, t, sink_zero)
+            assert conjugated == [sl.collapse_semilattice(n, t)]
+
+
+def test_search_builds_only_the_sink_zero_graph(monkeypatch):
+    graphs = []
+
+    def record(n, vertices=None):
+        graphs.append(sl.build_commuting_graph(n, vertices))
+        return graphs[-1]
+
+    monkeypatch.setattr(enumeration, "build_commuting_graph", record)
+    sink_zero = enumeration._sink_zero_families(4)
+    (graph,) = graphs
+    assert graph.vertices == tuple(
+        e for e in sl.enumerate_idempotents(4) if e.images[0] == 0
+    )
+    assert (len(graph.vertices), graph.edge_count(), len(sink_zero)) == (23, 106, 19)
+    assert all(sl.constant(4, 0) in s for s in sink_zero)
+    full = sl.build_commuting_graph(4)
+    assert (len(full.vertices), full.edge_count()) == (41, 280)
+
+
+def test_every_maximal_semilattice_has_exactly_one_constant(
+    maximal_by_n, full_graph_by_n
+):
+    # The full-graph listing does not rest on the anchor lemma, as the
+    # conjugated one does, so the lemma is tested on it too.
     for n in (1, 2, 3, 4, 5):
-        for s in maximal_by_n[n]:
+        for s in maximal_by_n[n] + full_graph_by_n[n]:
             constants = [e for e in s if len(set(e.images)) == 1]
             assert len(constants) == 1
             # ... and it is the constant to a common fixed point
@@ -150,30 +236,33 @@ def test_extremal_clauses_fail_without_a_collapse_family(maximal_by_n):
     assert _clause_names(failed) == ["count", "set-equality"]
 
 
-def test_spectrum_names_the_failed_clauses(maximal_by_n, monkeypatch):
-    semis = _without_collapse_family(maximal_by_n, 4)
-    monkeypatch.setattr(
-        enumeration, "enumerate_maximal_semilattices", lambda n, cap=None: semis
-    )
+def test_spectrum_names_the_failed_clauses(monkeypatch):
+    # a sink-0 search that misses the collapse family
+    missing = sl.collapse_semilattice(4, 0)
+    semis = tuple(s for s in enumeration._sink_zero_families(4) if s != missing)
+    monkeypatch.setattr(enumeration, "_sink_zero_families", lambda n: semis)
     message = (
-        r"T\(4\) contradict the theorem: count: 3 maximum-size semilattices, "
-        r"expected n = 4; set-equality: "
+        r"T\(4\) contradict the theorem: max-size: 6 == 2\^\(n-1\) = 8; "
+        r"count: 24 maximum-size semilattices, expected n = 4; set-equality: "
+        r".*; boolean: "
     )
     with pytest.raises(RuntimeError, match=message):
         sl.spectrum(4)
 
 
-def test_spectrum_is_symmetric_under_relabelling_the_sink(maximal_by_n):
+def test_spectrum_is_symmetric_under_relabelling_the_sink(
+    maximal_by_n, full_graph_by_n
+):
     # Each maximal subsemilattice holds exactly one constant, its sink, and
     # conjugating by a permutation of the points moves the sink: so every
     # sink has the same size histogram and every count is divisible by n.
+    # The conjugated listing holds this by construction; the full-graph
+    # listing does not.
     for n in range(1, 6):
         assert all(count % n == 0 for count in sl.spectrum(n).counts().values())
-        by_sink = {t: Counter() for t in range(n)}
-        for s in maximal_by_n[n]:
-            (sink,) = {e.images[0] for e in s.elements if len(set(e.images)) == 1}
-            by_sink[sink][len(s)] += 1
-        assert all(hist == by_sink[0] for hist in by_sink.values())
+        for semis in (maximal_by_n[n], full_graph_by_n[n]):
+            by_sink = _sink_histograms(n, semis)
+            assert all(hist == by_sink[0] for hist in by_sink.values())
 
 
 def test_spectrum_witnesses_are_verified_and_maximal():
@@ -200,9 +289,11 @@ def test_enumeration_rejects_n_below_one_before_any_work(monkeypatch):
         raise AssertionError(f"enumerated at n={n}")
 
     monkeypatch.setattr(enumeration, "_enumerate", fail)
+    monkeypatch.setattr(enumeration, "_sink_zero_families", fail)
     for n in (0, -4):
-        with pytest.raises(ValueError, match=rf"must be in \[1, 16\], got {n}$"):
-            sl.enumerate_maximal_semilattices(n, cap=6)
+        for run in (sl.enumerate_maximal_semilattices, sl.spectrum):
+            with pytest.raises(ValueError, match=rf"must be in \[1, 16\], got {n}$"):
+                run(n, cap=6)
 
 
 def test_enumeration_is_deterministic():
@@ -301,19 +392,25 @@ N6_COUNTS = {
 N6_SPECTRUM_SHA256 = "80611d15539c00adced36cacea96dceb7f833df015712badf047dd230e79d699"
 
 
+def test_n6_spectrum_is_frozen(capsys):
+    # exploratory counts: frozen, never corrected
+    assert sl.spectrum(6, cap=6).counts() == N6_COUNTS
+    assert cli.main(["spectrum", "--n", "6", "--cap", "6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == N6_SPECTRUM_SHA256
+
+
 @pytest.mark.slow
-def test_optional_n6_spectrum_is_frozen_and_sink_symmetric(capsys):
+def test_optional_n6_spectrum_is_frozen_and_sink_symmetric(n6_oracle, capsys):
     # exploratory counts: frozen, never corrected
     semis = sl.enumerate_maximal_semilattices(6, cap=6)
     assert Counter(len(s) for s in semis) == N6_COUNTS
     assert all(count % 6 == 0 for count in N6_COUNTS.values())
-    by_sink = {t: Counter() for t in range(6)}
-    for s in semis:
-        (sink,) = {e.images[0] for e in s.elements if len(set(e.images)) == 1}
-        by_sink[sink][len(s)] += 1
-    for hist in by_sink.values():
-        assert hist == {size: count // 6 for size, count in N6_COUNTS.items()}
-        assert hist.total() == 3761
+    # and on the full-graph listing, which does not rest on the sink symmetry
+    for listing in (semis, n6_oracle):
+        for hist in _sink_histograms(6, listing).values():
+            assert hist == {size: count // 6 for size, count in N6_COUNTS.items()}
+            assert hist.total() == 3761
     assert cli.main(["spectrum", "--n", "6", "--cap", "6"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == N6_SPECTRUM_SHA256

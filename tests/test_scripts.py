@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,3 +45,10 @@ def test_spectrum_table_refuses_max_n_above_the_hard_cap():
     result = _run_script("spectrum_table.py", "--max-n", "7")
     assert (result.returncode, result.stdout) == (2, "")
     assert "--max-n 7 exceeds the hard maximum 6" in result.stderr
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_spectrum_table_refuses_max_n_below_one(max_n):
+    result = _run_script("spectrum_table.py", "--max-n", max_n)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert f"--max-n {max_n} is below 1" in result.stderr

@@ -301,6 +301,13 @@ def test_collapse_semilattice_rejects_n_below_one(n):
         sl.collapse_semilattice(n, 0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_collapse_map_rejects_n_below_one_before_the_sink(n):
+    message = rf"^ground-set size must be in \[1, 16\], got {n}$"
+    with pytest.raises(ValueError, match=message):
+        sl.collapse_map(n, 0, [])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
