@@ -161,9 +161,6 @@ class PosetRelation:
                                 f"not transitive at indices {i}, {j}, {l}"
                             )
 
-    def is_leq(self, i: int, j: int) -> bool:
-        return self.leq[i][j]
-
 
 def natural_order(s: Semilattice) -> PosetRelation:
     """The order ``a ≤ b iff a = ab``; composition realizes the meet."""

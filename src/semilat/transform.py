@@ -65,16 +65,6 @@ class Transformation:
             if not 0 <= y < self.n:
                 raise ValueError(f"image of point {x} is {y}, outside [0, {self.n})")
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "Transformation") -> "Transformation":
-        """Left-to-right product: ``self`` is applied first."""
-        return compose(self, other)
-
-    def image_mask(self) -> int:
-        return mask_of(self.images)
-
     def word(self) -> str:
         """The map as a whitespace-separated image word, e.g. ``"0 0 2"``."""
         return " ".join(str(y) for y in self.images)
@@ -156,14 +146,6 @@ class IdempotentDecomposition:
     @cached_property
     def _block_by_rep(self) -> dict[int, int]:
         return {rep: mask for mask, rep in self.blocks}
-
-    def reconstitute(self) -> Transformation:
-        """Rebuild the idempotent whose blocks these are."""
-        images = [0] * self.n
-        for mask, rep in self.blocks:
-            for x in points(mask):
-                images[x] = rep
-        return Transformation(self.n, tuple(images))
 
 
 def orbit_decomposition(e: Transformation) -> IdempotentDecomposition:

@@ -260,13 +260,28 @@ def test_verify_theorem_bytes(capsys):
     assert run(capsys, "verify-theorem", "--n", "3") == (0, VERIFY_THEOREM_N3, "")
 
 
+VERIFY_THEOREM_N6 = (
+    "PASS max-size: 32 == 2^(n-1) = 32\n"
+    "PASS count: 6 maximum-size semilattices, expected n = 6\n"
+    "PASS set-equality: maximum-size semilattices are exactly the 6 collapse "
+    "semilattices\n"
+    "PASS boolean: every maximum-size semilattice is a power-set lattice with "
+    "5 atoms\n"
+    "RESULT PASS n=6\n"
+)
+
+
+def test_verify_theorem_n6_bytes(capsys):
+    # the paper's row at the hard cap, from the largest sink-0 families alone
+    result = run(capsys, "verify-theorem", "--n", "6", "--cap", "6")
+    assert result == (0, VERIFY_THEOREM_N6, "")
+
+
 def test_verify_theorem_fails_without_a_collapse_family(capsys, monkeypatch):
     n = 4
     missing = sl.collapse_semilattice(n, 0)
-    semis = tuple(s for s in sl.enumerate_maximal_semilattices(n) if s != missing)
-    monkeypatch.setattr(
-        "semilat.cli.enumerate_maximal_semilattices", lambda n, cap=None: semis
-    )
+    semis = tuple(s for s in sl.max_size_semilattices(n) if s != missing)
+    monkeypatch.setattr("semilat.cli.max_size_semilattices", lambda n, cap=None: semis)
     code, out, _ = run(capsys, "verify-theorem", "--n", str(n))
     assert code == 1
     assert out.splitlines() == [

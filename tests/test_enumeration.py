@@ -140,7 +140,7 @@ def test_search_builds_only_the_sink_zero_graph(monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(enumeration, "build_commuting_graph", record)
-    sink_zero = enumeration._sink_zero_families(4)
+    sink_zero = enumeration._sink_zero_families(4, None)
     (graph,) = graphs
     assert graph.vertices == tuple(
         e for e in sl.enumerate_idempotents(4) if e.images[0] == 0
@@ -191,11 +191,14 @@ def test_brute_force_counts():
         sl.brute_force_subsemilattices(4)
 
 
-def test_max_size_semilattices(maximal_by_n):
-    for n in range(1, 5):
-        tops = sl.max_size_semilattices(n)
+def test_max_size_semilattices(full_graph_by_n):
+    for n in range(1, 7):
+        tops = sl.max_size_semilattices(n, cap=6)
         assert set(tops) == {sl.collapse_semilattice(n, t) for t in range(n)}
         assert all(len(s) == 1 << (n - 1) for s in tops)
+        if n <= 5:
+            oracle = full_graph_by_n[n]  # canonical order: largest first
+            assert tops == tuple(s for s in oracle if len(s) == len(oracle[0]))
 
 
 def test_spectrum_n2():
@@ -230,6 +233,12 @@ def test_extremal_clauses_hold(maximal_by_n):
         assert all(holds for holds, _ in clauses)
 
 
+def test_extremal_clauses_take_the_families_in_any_order(maximal_by_n):
+    # the sink-0 search emits families in search order, not canonical order
+    for n in range(1, 6):
+        assert all(holds for holds, _ in sl.extremal_clauses(n, maximal_by_n[n][::-1]))
+
+
 def test_extremal_clauses_fail_without_a_collapse_family(maximal_by_n):
     clauses = sl.extremal_clauses(4, _without_collapse_family(maximal_by_n, 4))
     failed = [c for c in clauses if not c[0]]
@@ -239,8 +248,10 @@ def test_extremal_clauses_fail_without_a_collapse_family(maximal_by_n):
 def test_spectrum_names_the_failed_clauses(monkeypatch):
     # a sink-0 search that misses the collapse family
     missing = sl.collapse_semilattice(4, 0)
-    semis = tuple(s for s in enumeration._sink_zero_families(4) if s != missing)
-    monkeypatch.setattr(enumeration, "_sink_zero_families", lambda n: semis)
+    semis = tuple(
+        s for s in enumeration._sink_zero_families(4, None) if s != missing
+    )
+    monkeypatch.setattr(enumeration, "_sink_zero_families", lambda n, cap: semis)
     message = (
         r"T\(4\) contradict the theorem: max-size: 6 == 2\^\(n-1\) = 8; "
         r"count: 24 maximum-size semilattices, expected n = 4; set-equality: "
@@ -285,20 +296,24 @@ def test_enumeration_cap():
 
 
 def test_enumeration_rejects_n_below_one_before_any_work(monkeypatch):
-    def fail(n):
+    def fail(n, vertices=None):
         raise AssertionError(f"enumerated at n={n}")
 
-    monkeypatch.setattr(enumeration, "_enumerate", fail)
-    monkeypatch.setattr(enumeration, "_sink_zero_families", fail)
+    monkeypatch.setattr(enumeration, "enumerate_idempotents", fail)
+    monkeypatch.setattr(enumeration, "build_commuting_graph", fail)
     for n in (0, -4):
-        for run in (sl.enumerate_maximal_semilattices, sl.spectrum):
+        for run in (
+            sl.enumerate_maximal_semilattices,
+            sl.max_size_semilattices,
+            sl.spectrum,
+        ):
             with pytest.raises(ValueError, match=rf"must be in \[1, 16\], got {n}$"):
                 run(n, cap=6)
 
 
 def test_enumeration_is_deterministic():
-    a = enumeration._enumerate(3)
-    b = enumeration._enumerate(3)
+    a = sl.enumerate_maximal_semilattices(3)
+    b = sl.enumerate_maximal_semilattices(3)
     assert a == b
     ja = formats.dumps([formats.semilattice_to_dict(s) for s in a])
     jb = formats.dumps([formats.semilattice_to_dict(s) for s in b])

@@ -119,7 +119,7 @@ def test_common_image_contains_anchor_fixed_point(oracle_by_n, maximal_by_n):
         anchor = sl.find_anchor(s)
         common = (1 << s.n) - 1
         for e in s.elements:
-            common &= e.image_mask()
+            common &= sl.mask_of(e.images)
         assert (common >> anchor.t) & 1
 
 

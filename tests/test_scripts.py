@@ -35,6 +35,21 @@ def test_freeze_spectrum_reproduces_the_fixtures(tmp_path):
         assert (tmp_path / name).read_bytes() == fixture.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "ns, message",
+    [
+        (["3", "7"], "--ns 7 exceeds the hard maximum 6"),
+        (["0"], "--ns 0 is below 1"),
+    ],
+    ids=["above-cap", "below-one"],
+)
+def test_freeze_spectrum_refuses_a_bad_n_before_writing(tmp_path, ns, message):
+    result = _run_script("freeze_spectrum.py", "--ns", *ns, "--out-dir", str(tmp_path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert message in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_spectrum_table_runs():
     result = _run_script("spectrum_table.py", "--max-n", "3")
     assert result.returncode == 0, result.stderr

@@ -376,6 +376,6 @@ def test_natural_order_matches_subset_order_on_collapse_maps(data):
     order = sl.natural_order(s)
     i = data.draw(st.integers(0, len(s) - 1))
     j = data.draw(st.integers(0, len(s) - 1))
-    kept_i = {x for x in range(n) if x != t and s.elements[i](x) == x}
-    kept_j = {x for x in range(n) if x != t and s.elements[j](x) == x}
+    kept_i = {x for x in range(n) if x != t and s.elements[i].images[x] == x}
+    kept_j = {x for x in range(n) if x != t and s.elements[j].images[x] == x}
     assert order.leq[i][j] == (kept_i <= kept_j)
