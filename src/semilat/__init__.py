@@ -16,9 +16,6 @@ from .transform import (
     enumerate_idempotents,
     identity,
     is_idempotent,
-    kernel_image,
-    make_transformation,
-    mask_of,
     orbit_decomposition,
     points,
 )

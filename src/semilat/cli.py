@@ -40,7 +40,7 @@ from .transform import enumerate_idempotents
 
 
 def _read_input(args: argparse.Namespace) -> formats.ParsedFile:
-    if args.input_path in (None, "-"):
+    if args.input_path == "-":
         text = sys.stdin.read()
     else:
         with open(args.input_path, "r", encoding="utf-8") as fh:

@@ -97,32 +97,26 @@ class CommutingGraph:
                     raise ValueError(f"adjacency not symmetric at {i}, {j}")
                 m ^= lsb
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
 
 def build_commuting_graph(
-    n: int, vertices: tuple[Transformation, ...] | None = None
+    n: int, vertices: tuple[Transformation, ...]
 ) -> CommutingGraph:
-    """Edges between distinct commuting idempotents, via the block test.
-
-    The vertices are ``vertices`` in the given order, by default every
-    idempotent of T(n).
-    """
-    verts = enumerate_idempotents(n) if vertices is None else vertices
-    decs = [orbit_decomposition(e) for e in verts]
-    v = len(verts)
+    """Edges between distinct commuting idempotents among ``vertices``, kept
+    in the given order, decided by the block test on each vertex's
+    :func:`orbit_decomposition`."""
+    decs = [orbit_decomposition(e) for e in vertices]
+    v = len(vertices)
     rows = [0] * v
     for i in range(v):
         dec = decs[i]
         for j in range(i + 1, v):
-            if commutes_with_idempotent(dec, verts[j]):
+            if commutes_with_idempotent(dec, vertices[j]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return CommutingGraph(n, verts, tuple(rows))
+    return CommutingGraph(n, vertices, tuple(rows))
 
 
 def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:

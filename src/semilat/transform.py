@@ -9,10 +9,9 @@ means point x belongs), which keeps subset tests down to single mask ops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Iterable
 
 MAX_POINTS = 16  # masks must stay comfortably inside a machine word
 MAX_IDEMPOTENT_POINTS = 8  # T(8) has 41 393 idempotents, T(9) 293 608
@@ -32,14 +31,6 @@ def points(mask: int) -> tuple[int, ...]:
         out.append(lsb.bit_length() - 1)
         mask ^= lsb
     return tuple(out)
-
-
-def mask_of(pts: Iterable[int]) -> int:
-    """Encode an iterable of points as a bit mask."""
-    m = 0
-    for x in pts:
-        m |= 1 << x
-    return m
 
 
 @dataclass(frozen=True)
@@ -70,11 +61,6 @@ class Transformation:
         return " ".join(str(y) for y in self.images)
 
 
-def make_transformation(n: int, images: Iterable[int]) -> Transformation:
-    """Build a validated transformation from any integer sequence."""
-    return Transformation(n, tuple(images))
-
-
 def identity(n: int) -> Transformation:
     return Transformation(n, tuple(range(n)))
 
@@ -100,41 +86,23 @@ def is_idempotent(a: Transformation) -> bool:
     return all(imgs[y] == y for y in imgs)
 
 
-def kernel_image(a: Transformation) -> tuple[tuple[int, ...], int]:
-    """The kernel partition and the image of ``a``.
-
-    Returns ``(classes, image_mask)`` where ``classes`` holds one bit mask per
-    preimage class of [0, n), ordered by the image value the class maps to.
-    """
-    by_value: dict[int, int] = {}
-    for x, y in enumerate(a.images):
-        by_value[y] = by_value.get(y, 0) | (1 << x)
-    values = sorted(by_value)
-    return tuple(by_value[v] for v in values), mask_of(values)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdempotentDecomposition:
-    """Block form of an idempotent: pairs ``(A_i, x_i)`` with ``A_i`` a mask.
+    """Block form of an idempotent: ``blocks`` maps each fixed point to its block.
 
-    Every point of block ``A_i`` maps to its representative ``x_i``; the
-    representatives are exactly the image (= fixed points) of the idempotent,
-    and the blocks partition the ground set.  Blocks are kept sorted by
-    representative.
+    Every point of the block ``blocks[x]``, a mask, maps to the fixed point x;
+    the keys are exactly the image (= fixed points) of the idempotent, and the
+    blocks partition the ground set.
     """
 
     n: int
-    blocks: tuple[tuple[int, int], ...]
+    blocks: dict[int, int]
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("decomposition needs at least one block")
         covered = 0
-        prev_rep = -1
-        for mask, rep in self.blocks:
-            if rep <= prev_rep:
-                raise ValueError("block representatives must be strictly ascending")
-            prev_rep = rep
+        for rep, mask in self.blocks.items():
             if not (mask >> rep) & 1:
                 raise ValueError(f"representative {rep} not inside its block")
             if covered & mask:
@@ -143,17 +111,15 @@ class IdempotentDecomposition:
         if covered != (1 << self.n) - 1:
             raise ValueError("blocks do not partition the ground set")
 
-    @cached_property
-    def _block_by_rep(self) -> dict[int, int]:
-        return {rep: mask for mask, rep in self.blocks}
-
 
 def orbit_decomposition(e: Transformation) -> IdempotentDecomposition:
-    """Decompose an idempotent into its (block, fixed point) pairs."""
+    """Decompose an idempotent into the map from each fixed point to the mask
+    of the points it receives, built in one pass over the image table."""
     if not is_idempotent(e):
         raise ValueError(f"not idempotent: {e.word()}")
-    classes, _ = kernel_image(e)
-    blocks = tuple((mask, e.images[points(mask)[0]]) for mask in classes)
+    blocks: dict[int, int] = {}
+    for x, y in enumerate(e.images):
+        blocks[y] = blocks.get(y, 0) | (1 << x)
     return IdempotentDecomposition(e.n, blocks)
 
 
@@ -165,17 +131,17 @@ def commutes(a: Transformation, b: Transformation) -> bool:
 def commutes_with_idempotent(e: IdempotentDecomposition, a: Transformation) -> bool:
     """Block-wise commuting test against an idempotent.
 
-    ``a`` commutes with the idempotent iff every block maps into a single
-    block whose representative is the image of its own representative:
-    for each i there is j with ``x_i a = x_j`` and ``A_i a ⊆ A_j``.
-    Agrees with :func:`commutes` on all inputs.
+    ``a`` commutes with the idempotent iff, for each fixed point x with block
+    ``A_x = e.blocks[x]``, ``x a`` is a fixed point too and ``A_x a ⊆ A_(x a)``.
+    Reads ``e.blocks`` only, never a product, so it stays a separate route
+    from :func:`commutes`, with which it agrees on all inputs.
     """
     if e.n != a.n:
         raise ValueError(f"ground-set mismatch: {e.n} vs {a.n}")
     imgs = a.images
-    by_rep = e._block_by_rep
-    for mask, rep in e.blocks:
-        target = by_rep.get(imgs[rep])
+    blocks = e.blocks
+    for rep, mask in blocks.items():
+        target = blocks.get(imgs[rep])
         if target is None:
             return False
         m = mask

@@ -6,19 +6,19 @@ from collections import Counter
 import pytest
 
 import semilat as sl
-from semilat import cli, enumeration, formats, make_transformation
+from semilat import cli, enumeration, formats
 from semilat.transform import points
 
 
 def test_graph_n1():
-    g = sl.build_commuting_graph(1)
+    g = sl.build_commuting_graph(1, sl.enumerate_idempotents(1))
     assert len(g.vertices) == 1
     assert g.rows == (0,)
     assert g.edge_count() == 0
 
 
 def test_graph_n2():
-    g = sl.build_commuting_graph(2)
+    g = sl.build_commuting_graph(2, sl.enumerate_idempotents(2))
     assert [e.images for e in g.vertices] == [(0, 0), (0, 1), (1, 1)]
     # identity adjacent to both constants; constants not adjacent
     assert g.rows == (0b010, 0b101, 0b010)
@@ -26,14 +26,14 @@ def test_graph_n2():
 
 def test_graph_matches_naive_commuting_exhaustively():
     for n in (1, 2, 3):
-        g = sl.build_commuting_graph(n)
+        g = sl.build_commuting_graph(n, sl.enumerate_idempotents(n))
         assert g.vertices == sl.enumerate_idempotents(n)
         v = len(g.vertices)
         edges = 0
         for i in range(v):
             for j in range(v):
                 expected = i != j and sl.commutes(g.vertices[i], g.vertices[j])
-                assert g.adjacent(i, j) == expected
+                assert (g.rows[i] >> j) & 1 == expected
                 edges += expected
         assert g.edge_count() == edges // 2
 
@@ -135,7 +135,7 @@ def test_conjugation_by_a_transposition_moves_the_collapse_sink():
 def test_search_builds_only_the_sink_zero_graph(monkeypatch):
     graphs = []
 
-    def record(n, vertices=None):
+    def record(n, vertices):
         graphs.append(sl.build_commuting_graph(n, vertices))
         return graphs[-1]
 
@@ -147,8 +147,35 @@ def test_search_builds_only_the_sink_zero_graph(monkeypatch):
     )
     assert (len(graph.vertices), graph.edge_count(), len(sink_zero)) == (23, 106, 19)
     assert all(sl.constant(4, 0) in s for s in sink_zero)
-    full = sl.build_commuting_graph(4)
+    full = sl.build_commuting_graph(4, sl.enumerate_idempotents(4))
     assert (len(full.vertices), full.edge_count()) == (41, 280)
+
+
+@pytest.mark.parametrize("n, edges", [(3, 10), (4, 106), (5, 1298)])
+def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
+    # Every edge lies in some maximal clique and the memo keeps each pair's
+    # outcome, so naive composition re-checks every edge of the block-test
+    # graph exactly once, and never a pair the graph left out.
+    build = enumeration.build_commuting_graph
+    product = enumeration._CliqueVerifier._product
+    graphs, pairs = [], []
+
+    def record_graph(n, vertices):
+        graphs.append(build(n, vertices))
+        return graphs[-1]
+
+    def record_pair(self, i, j):
+        pairs.append((i, j))
+        return product(self, i, j)
+
+    monkeypatch.setattr(enumeration, "build_commuting_graph", record_graph)
+    monkeypatch.setattr(enumeration._CliqueVerifier, "_product", record_pair)
+    enumeration._sink_zero_families(n, None)
+    (graph,) = graphs
+    assert graph.edge_count() == edges
+    assert sorted(pairs) == [
+        (i, j) for i, row in enumerate(graph.rows) for j in points(row) if i < j
+    ]
 
 
 def test_every_maximal_semilattice_has_exactly_one_constant(
@@ -321,7 +348,7 @@ def test_enumeration_is_deterministic():
 
 
 def _cliques_and_verifier(n):
-    graph = sl.build_commuting_graph(n)
+    graph = sl.build_commuting_graph(n, sl.enumerate_idempotents(n))
     cliques = enumeration._maximal_clique_bitsets(graph.rows)
     return cliques, enumeration._CliqueVerifier(n, graph.vertices)
 
@@ -378,7 +405,7 @@ def test_index_verifier_rejects_mutated_cliques_like_find_violation():
 
 def test_index_verifier_reports_a_non_idempotent_member():
     # (1 2 2) squared agrees with it on its image {1, 2}, but not at 0
-    vertices = sl.enumerate_idempotents(3) + (make_transformation(3, [1, 2, 2]),)
+    vertices = sl.enumerate_idempotents(3) + (sl.Transformation(3, (1, 2, 2)),)
     verifier = enumeration._CliqueVerifier(3, vertices)
     clique = 1 << (len(vertices) - 1) | 1
     assert _assert_both_reject(verifier, clique) == "idempotence"

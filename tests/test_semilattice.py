@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semilat as sl
-from semilat import make_transformation as T
+from semilat import Transformation as T
 
 
 def test_verify_accepts_singleton():
