@@ -4,6 +4,9 @@ One binary, one subcommand per library entry point.  ``_COMMANDS`` declares
 each subcommand once, with its handler, the names of its arguments and its
 help text, and ``_ARGUMENTS`` declares each argument's flag and argparse
 keywords once; :func:`build_parser` and :func:`main` both read these tables.
+The parser is built once per process, on the first :func:`main` call, and
+binds no stream: usage and help go to whatever ``sys.stderr`` and
+``sys.stdout`` are at the time of each call.
 Each handler takes the parsed argparse namespace and calls the library, which
 checks every argument (n, t, m, the cap, input files); the CLI checks none
 itself and maps the library's ``ValueError`` or ``OSError`` to exit status 2.
@@ -15,6 +18,7 @@ enumeration cap, up to the library's hard maximum.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formats
@@ -257,6 +261,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semilat",
@@ -273,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -24,8 +24,8 @@ from .transform import (
     commutes_with_idempotent,
     compose,
     enumerate_idempotents,
-    is_idempotent,
     orbit_decomposition,
+    points,
 )
 
 
@@ -63,27 +63,40 @@ def _canonical(n: int, elements: Iterable[Transformation]) -> tuple[Transformati
     return tuple(elems)
 
 
+def _first_violation(elems: tuple[Transformation, ...]) -> Optional[Violation]:
+    """:func:`find_violation` on a canonical carrier.
+
+    Composes the members' image tables naively, ``[b[y] for y in a]``; only
+    a reported witness becomes a :class:`Transformation`.
+    """
+    if not elems:
+        raise ValueError("empty candidate")
+    tables = [e.images for e in elems]
+    present = set(tables)
+    for e, a in zip(elems, tables):
+        if any(a[y] != y for y in a):
+            return Violation("idempotence", (e,))
+    for i, a in enumerate(tables):
+        for j in range(i + 1, len(tables)):
+            b = tables[j]
+            ab = [b[y] for y in a]
+            if ab != [a[y] for y in b]:
+                return Violation("commutativity", (elems[i], elems[j]))
+            if tuple(ab) not in present:
+                return Violation(
+                    "closure", (elems[i], elems[j]), product=Transformation(len(a), ab)
+                )
+    return None
+
+
 def find_violation(n: int, elements: Iterable[Transformation]) -> Optional[Violation]:
     """First axiom failure of a candidate set, or None if it is a semilattice.
 
     Checks idempotence element by element, then commutativity and closure pair
     by pair, all in canonical order, so the reported witness is deterministic.
+    Pairs are multiplied by naive composition of their image tables.
     """
-    elems = _canonical(n, elements)
-    if not elems:
-        raise ValueError("empty candidate")
-    present = set(elems)
-    for e in elems:
-        if not is_idempotent(e):
-            return Violation("idempotence", (e,))
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            ab = compose(a, b)
-            if ab != compose(b, a):
-                return Violation("commutativity", (a, b))
-            if ab not in present:
-                return Violation("closure", (a, b), product=ab)
-    return None
+    return _first_violation(_canonical(n, elements))
 
 
 @dataclass(frozen=True)
@@ -124,9 +137,13 @@ class Semilattice:
 
 
 def verify_semilattice(n: int, candidate: Iterable[Transformation]) -> Semilattice:
-    """Checked constructor: raises :class:`SemilatticeError` on any violation."""
+    """Checked constructor: raises :class:`SemilatticeError` on any violation.
+
+    The carrier is sorted once; the axioms are checked on its image tables by
+    naive composition, as in :func:`find_violation`.
+    """
     elems = _canonical(n, candidate)
-    violation = find_violation(n, elems)
+    violation = _first_violation(elems)
     if violation is not None:
         raise SemilatticeError(violation)
     return Semilattice(n, elems)
@@ -137,7 +154,9 @@ class PosetRelation:
     """A partial order on an indexed carrier, as a boolean matrix.
 
     ``leq[i][j]`` means element i is below element j.  The constructor rejects
-    relations that are not reflexive, antisymmetric, and transitive.
+    relations that are not reflexive, antisymmetric, and transitive, checked on
+    each row as a bit mask: for each i, reflexivity, then for each j above i,
+    ascending, antisymmetry and the first point above j but not above i.
     """
 
     carrier: tuple
@@ -147,28 +166,27 @@ class PosetRelation:
         k = len(self.carrier)
         if len(self.leq) != k or any(len(row) != k for row in self.leq):
             raise ValueError("relation matrix does not match the carrier")
-        leq = self.leq
-        for i in range(k):
-            if not leq[i][i]:
+        rows = [sum(1 << j for j, v in enumerate(row) if v) for row in self.leq]
+        for i, row in enumerate(rows):
+            if not (row >> i) & 1:
                 raise ValueError(f"not reflexive at index {i}")
-            for j in range(k):
-                if i != j and leq[i][j] and leq[j][i]:
+            for j in points(row & ~(1 << i)):
+                if (rows[j] >> i) & 1:
                     raise ValueError(f"not antisymmetric at indices {i}, {j}")
-                if leq[i][j]:
-                    for l in range(k):
-                        if leq[j][l] and not leq[i][l]:
-                            raise ValueError(
-                                f"not transitive at indices {i}, {j}, {l}"
-                            )
+                missing = rows[j] & ~row
+                if missing:
+                    l = (missing & -missing).bit_length() - 1
+                    raise ValueError(f"not transitive at indices {i}, {j}, {l}")
 
 
 def natural_order(s: Semilattice) -> PosetRelation:
-    """The order ``a ≤ b iff a = ab``; composition realizes the meet."""
-    elems = s.elements
-    leq = tuple(
-        tuple(a == compose(a, b) for b in elems) for a in elems
-    )
-    return PosetRelation(elems, leq)
+    """The order ``a ≤ b iff a = ab``; composition realizes the meet.
+
+    Each product is a naive composition of image tables.
+    """
+    tables = [list(e.images) for e in s.elements]
+    leq = tuple(tuple(a == [b[y] for y in a] for b in tables) for a in tables)
+    return PosetRelation(s.elements, leq)
 
 
 def meet(s: Semilattice, a: Transformation, b: Transformation) -> Transformation:

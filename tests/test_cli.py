@@ -1,5 +1,7 @@
 """Subcommand behavior, wire formats, exit codes, and round-trips."""
 
+import contextlib
+import hashlib
 import io
 import json
 
@@ -7,7 +9,7 @@ import pytest
 
 import semilat as sl
 from semilat import formats
-from semilat.cli import main
+from semilat.cli import _COMMANDS, build_parser, main
 
 ET30_TEXT = "n=3 t=0 size=4\n0 0 0\n0 0 2\n0 1 0\n0 1 2\n"
 
@@ -422,3 +424,63 @@ def test_parse_error_names_a_non_integer_word(capsys, monkeypatch):
     assert run(capsys, "verify", "--in", "-") == (
         2, "", "error: line 2: not an image word: '0 x 0'\n"
     )
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _call(argv):
+    """One ``main`` call with its own stdout and stderr, swapped in the way
+    a batch of calls in one process swaps them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_binds_no_stream(tmp_path):
+    path = tmp_path / "et.txt"
+    path.write_text(ET30_TEXT)
+    good = ["verify", "--in", str(path)]
+    build_parser.cache_clear()
+    first = _call(good)
+    assert first == (0, "VALID n=3 size=4\n", "")
+    build_parser.cache_clear()
+    bad = _call(["verify"])
+    code, out, err = bad
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: semilat verify [-h] --in FILE")
+    assert err.endswith("error: the following arguments are required: --in\n")
+    assert _call(good) == first
+    assert _call(["verify"]) == bad
+
+
+# sha256 of each --help text at 80 columns, recorded before the parser was
+# cached; None is the top-level parser.
+HELP_SHA256 = {
+    None: "c37c916ac786ac866e7f6a91b0c074ad4e10e97568cf16379c925a552eab66ae",
+    "idempotents": "faa4ed879238ba4e6e39a934d781b3706f717e8f9fbbf9650d31b148593c38bd",
+    "et": "40a5d4526680421c9e727b37b39ee97675adc168f5eff24fdcf03435130ef4a9",
+    "verify": "8d903b581b735b80e49770fc7dc26545356afffdbdee83b2dc9d6b9adc086c5f",
+    "maximal": "9446c07d6c34833d16c42b0eb27a83d3972a278bca74935088c0df790a22162c",
+    "reduce": "171da2a12b69997497fd1fba1c0faf7e75f95f04de7262343fe8f4d6219a63d4",
+    "order": "f06e7c27a589229d98ea99299072eb8d220dc45b9595f98e595ec59e0aafa714",
+    "enumerate": "8d3ec1b689843ad7845f36f591e09706fd85e4948963f05f80fa12f67dd89a70",
+    "spectrum": "53713a365020124d9667990d8a4628d58b0b245223edf0e386ed1e07b1077c45",
+    "make-size": "1a1aff696abeaaea688fc083f6be03892a619b35be996b387d43aae580ae057b",
+    "verify-theorem": "99a5167715c10e2f8d52e26b3f40327d255ea7880fe061d3fb2419e6ac393aeb",
+}
+
+
+def test_help_digests_cover_every_subcommand():
+    assert set(HELP_SHA256) == {None, *_COMMANDS}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: c or "semilat")
+def test_help_bytes_are_unchanged(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = _call(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]

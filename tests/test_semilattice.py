@@ -79,6 +79,116 @@ def test_poset_relation_rejects_non_posets():
         sl.PosetRelation((0, 1), ((False, False), (False, True)))  # not reflexive
 
 
+def _reference_violation(n, tables):
+    """The axioms on plain image tables, composing left to right in canonical
+    order: (axiom, element tables, product table or None), or None."""
+    carrier = sorted(set(tables))
+    for a in carrier:
+        if tuple(a[a[x]] for x in range(n)) != a:
+            return ("idempotence", (a,), None)
+    for i, a in enumerate(carrier):
+        for b in carrier[i + 1 :]:
+            ab = tuple(b[a[x]] for x in range(n))
+            if ab != tuple(a[b[x]] for x in range(n)):
+                return ("commutativity", (a, b), None)
+            if ab not in carrier:
+                return ("closure", (a, b), ab)
+    return None
+
+
+@st.composite
+def _candidate(draw):
+    """A nonempty list of image tables on n <= 4 points: a subset of the
+    idempotents of T(n) mixed with random maps, in random order."""
+    n = draw(st.integers(1, 4))
+    idempotents = [e.images for e in sl.enumerate_idempotents(n)]
+    chosen = draw(st.lists(st.sampled_from(idempotents), max_size=6, unique=True))
+    maps = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=2))
+    tables = draw(st.permutations(chosen + maps))
+    if not tables:
+        tables = [draw(st.sampled_from(idempotents))]
+    return n, tables
+
+
+@settings(max_examples=400)
+@given(_candidate())
+def test_find_violation_matches_the_reference_on_tables(candidate):
+    n, tables = candidate
+    expected = _reference_violation(n, tables)
+    v = sl.find_violation(n, [T(n, a) for a in tables])
+    got = None if v is None else (
+        v.axiom,
+        tuple(e.images for e in v.elements),
+        None if v.product is None else v.product.images,
+    )
+    assert got == expected
+    if v is None:
+        s = sl.verify_semilattice(n, [T(n, a) for a in tables])
+        assert s.key() == tuple(sorted(set(tables)))
+    else:
+        with pytest.raises(sl.SemilatticeError) as exc:
+            sl.verify_semilattice(n, [T(n, a) for a in tables])
+        assert exc.value.violation == v
+        assert str(exc.value) == v.describe()
+
+
+def _reference_poset_error(leq):
+    """The order axioms by a triple loop over the matrix: the first error
+    message, or None."""
+    k = len(leq)
+    for i in range(k):
+        if not leq[i][i]:
+            return f"not reflexive at index {i}"
+        for j in range(k):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"not antisymmetric at indices {i}, {j}"
+            if leq[i][j]:
+                for l in range(k):
+                    if leq[j][l] and not leq[i][l]:
+                        return f"not transitive at indices {i}, {j}, {l}"
+    return None
+
+
+@st.composite
+def _relation(draw):
+    """A random 0/1 matrix with k <= 6: raw, with a full diagonal, or a
+    partial order with at most one entry flipped."""
+    k = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("raw", "reflexive", "order")))
+    if kind == "order":
+        rank = draw(st.permutations(range(k)))
+        leq = [
+            [int(i == j or (rank[i] < rank[j] and draw(st.booleans()))) for j in range(k)]
+            for i in range(k)
+        ]
+        for m in range(k):  # transitive closure
+            for i in range(k):
+                if leq[i][m]:
+                    for j in range(k):
+                        leq[i][j] |= leq[m][j]
+        if k and draw(st.booleans()):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            leq[i][j] ^= 1
+    else:
+        leq = [[draw(st.integers(0, 1)) for _ in range(k)] for _ in range(k)]
+        if kind == "reflexive":
+            for i in range(k):
+                leq[i][i] = 1
+    return tuple(tuple(row) for row in leq)
+
+
+@settings(max_examples=400)
+@given(_relation())
+def test_poset_relation_raises_the_reference_error(leq):
+    expected = _reference_poset_error(leq)
+    if expected is None:
+        sl.PosetRelation(tuple(range(len(leq))), leq)
+    else:
+        with pytest.raises(ValueError) as exc:
+            sl.PosetRelation(tuple(range(len(leq))), leq)
+        assert str(exc.value) == expected
+
+
 def _assert_meet_is_glb(s):
     order = sl.natural_order(s)
     leq = order.leq
