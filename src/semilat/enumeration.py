@@ -88,14 +88,9 @@ class CommutingGraph:
                 raise ValueError(f"vertex {i} is adjacent to itself")
             if row >> v:
                 raise ValueError(f"row {i} mentions vertices beyond the list")
-        for i in range(v):
-            m = self.rows[i] >> (i + 1)
-            while m:
-                lsb = m & -m
-                j = i + 1 + lsb.bit_length() - 1
-                if not (self.rows[j] >> i) & 1:
-                    raise ValueError(f"adjacency not symmetric at {i}, {j}")
-                m ^= lsb
+            for j in points(row >> i):
+                if not (self.rows[i + j] >> i) & 1:
+                    raise ValueError(f"adjacency not symmetric at {i}, {i + j}")
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2

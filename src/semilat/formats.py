@@ -18,7 +18,7 @@ from .reduction import ReductionResult
 from .semilattice import PosetRelation, Semilattice
 from .transform import Transformation
 
-_HEADER_RE = re.compile(r"^n=(\d+)(?:\s+t=\d+)?\s+size=(\d+)$")
+_HEADER_RE = re.compile(r"^n=([0-9]+)(?:\s+t=[0-9]+)?\s+size=([0-9]+)$")
 
 
 class ParseError(ValueError):
@@ -52,10 +52,9 @@ def parse_transformations(text: str) -> ParsedFile:
                 n, announced = int(m.group(1)), int(m.group(2))
                 continue
         tokens = line.split()
-        try:
-            images = tuple(int(tok) for tok in tokens)
-        except ValueError:
-            raise ParseError(lineno, f"not an image word: {line!r}") from None
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ParseError(lineno, f"not an image word: {line!r}")
+        images = tuple(map(int, tokens))
         if n is None:
             n = len(images)
         elif len(images) != n:
@@ -124,16 +123,13 @@ def format_reduction_text(r: ReductionResult) -> str:
 
 
 def poset_to_dict(name: str, relation: PosetRelation, n: int) -> dict:
-    carrier: list = []
-    for item in relation.carrier:
-        if isinstance(item, Transformation):
-            carrier.append(list(item.images))
-        else:
-            carrier.append(item)
     return {
         "order": name,
         "n": n,
-        "carrier": carrier,
+        "carrier": [
+            list(x.images) if isinstance(x, Transformation) else x
+            for x in relation.carrier
+        ],
         "leq": [[bool(v) for v in row] for row in relation.leq],
     }
 

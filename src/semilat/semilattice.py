@@ -21,10 +21,8 @@ from typing import Iterable, Optional
 from .transform import (
     Transformation,
     check_points,
-    commutes_with_idempotent,
     compose,
     enumerate_idempotents,
-    orbit_decomposition,
     points,
 )
 
@@ -259,15 +257,14 @@ def is_maximal(s: Semilattice) -> MaximalityResult:
 
     An outside idempotent commuting with everything would generate a strictly
     larger subsemilattice (products of commuting idempotents are idempotents
-    commuting with every common centralizer), so this single-element scan
-    decides maximality.  The witness is the first extender in canonical order.
+    commuting with every common centralizer), so a single extender decides
+    maximality.  The witness is the first extender in canonical order: the
+    first non-member of the carrier's centralizer among the idempotents.
     """
     members = set(s.elements)
-    decs = [orbit_decomposition(e) for e in s.elements]
-    for f in enumerate_idempotents(s.n):
-        if f not in members and all(commutes_with_idempotent(d, f) for d in decs):
-            return MaximalityResult(False, f)
-    return MaximalityResult(True, None)
+    centralizer = enumerate_idempotents(s.n, s.elements)
+    witness = next((f for f in centralizer if f not in members), None)
+    return MaximalityResult(witness is None, witness)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,9 +9,8 @@ means point x belongs), which keeps subset tests down to single mask ops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from math import comb
+from typing import Iterable
 
 MAX_POINTS = 16  # masks must stay comfortably inside a machine word
 MAX_IDEMPOTENT_POINTS = 8  # T(8) has 41 393 idempotents, T(9) 293 608
@@ -153,14 +152,16 @@ def commutes_with_idempotent(e: IdempotentDecomposition, a: Transformation) -> b
     return True
 
 
-@lru_cache(maxsize=None)
-def enumerate_idempotents(n: int) -> tuple[Transformation, ...]:
-    """All idempotents of T(n), lexicographically ordered by image table.
-
-    An idempotent is determined by its set of fixed points B (= its image)
-    together with a choice of target in B for every point outside B, so the
-    full list is generated directly rather than by scanning all n^n maps.
-    The list grows too fast to build above ``MAX_IDEMPOTENT_POINTS`` points.
+def enumerate_idempotents(
+    n: int, commuting_with: Iterable[Transformation] = ()
+) -> tuple[Transformation, ...]:
+    """The idempotents of T(n) commuting with each map of ``commuting_with``,
+    in image-table order: an ordered backtracking search assigns f(0), f(1),
+    ... in ascending order.  A point already hit must be fixed; any other
+    point goes to itself, to an earlier fixed point, or to a later point,
+    which must then be fixed.  Each equation ``f[e[p]] == e[f[p]]`` is checked
+    once f(p) and f(e[p]) are assigned.  The full list grows too fast to
+    build above ``MAX_IDEMPOTENT_POINTS`` points.
     """
     check_points(n)
     if n > MAX_IDEMPOTENT_POINTS:
@@ -169,14 +170,25 @@ def enumerate_idempotents(n: int) -> tuple[Transformation, ...]:
             f"T({n}) has {count} idempotents, too many to list "
             f"(n must be at most {MAX_IDEMPOTENT_POINTS})"
         )
-    found = []
-    for image_mask in range(1, 1 << n):
-        fixed = points(image_mask)
-        movable = [x for x in range(n) if not (image_mask >> x) & 1]
-        for choice in product(fixed, repeat=len(movable)):
-            images = list(range(n))
-            for x, y in zip(movable, choice):
-                images[x] = y
-            found.append(Transformation(n, tuple(images)))
-    found.sort(key=lambda t: t.images)
+    # due[x]: the equations (e, p, e[p]) decided once f(0..x) are assigned
+    due: list[list] = [[] for _ in range(n)]
+    for e in commuting_with:
+        if e.n != n:
+            raise ValueError(f"ground-set mismatch: {e.n} vs {n}")
+        for p, q in enumerate(e.images):
+            due[max(p, q)].append((e.images, p, q))
+    f = [0] * n
+    found: list[Transformation] = []
+
+    def extend(x: int, fixed: tuple[int, ...], hit: int) -> None:
+        if x == n:
+            found.append(Transformation(n, tuple(f)))
+            return
+        # hit: a mask of the points chosen as images; only bits above x are read
+        for y in (x,) if (hit >> x) & 1 else (*fixed, *range(x, n)):
+            f[x] = y
+            if all(f[q] == e[f[p]] for e, p, q in due[x]):
+                extend(x + 1, fixed + (x,) if y == x else fixed, hit | 1 << y)
+
+    extend(0, (), 0)
     return tuple(found)

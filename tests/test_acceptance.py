@@ -33,8 +33,7 @@ def all_oracle():
 
 
 def test_criterion_01_maximum_cardinality():
-    # Cold run: clear every cache so the 60 s budget covers real work.
-    sl.enumerate_idempotents.cache_clear()
+    # Cold by construction: the library keeps no cache between calls.
     start = time.perf_counter()
     tops = {}
     for n in range(1, 6):

@@ -426,6 +426,23 @@ def test_parse_error_names_a_non_integer_word(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "stdin, line",
+    [
+        ("0 +1 2\n", "0 +1 2"),
+        ("0 \u0662 2\n", "0 \u0662 2"),
+        ("0 1 2 3 4 5 6 7 8 9 1_0\n", "0 1 2 3 4 5 6 7 8 9 1_0"),
+        ("n=\u0663 size=1\n0 1 2\n", "n=\u0663 size=1"),
+    ],
+    ids=["sign", "arabic-indic-digit", "underscore", "header-digit"],
+)
+def test_parse_accepts_only_ascii_digits(capsys, monkeypatch, stdin, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, "verify", "--in", "-") == (
+        2, "", f"error: line 1: not an image word: {line!r}\n"
+    )
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

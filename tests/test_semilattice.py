@@ -314,24 +314,40 @@ def test_is_maximal_agrees_with_brute_force(oracle_by_n):
                 assert all(sl.commutes(res.witness, e) for e in s.elements)
 
 
-def test_is_maximal_witness_is_the_first_extender():
-    # the witness must be the first outside idempotent, in canonical order,
-    # that commutes with every member, found here by a naive scan
-    idems = sl.enumerate_idempotents(5)
-    for t in range(5):
-        for m in range(1, 17):
-            s = sl.semilattice_of_size(5, t, m)
-            first = next(
-                (
-                    f
-                    for f in idems
-                    if f not in s.elements
-                    and all(sl.commutes(f, e) for e in s.elements)
-                ),
-                None,
-            )
-            res = sl.is_maximal(s)
-            assert (res.is_maximal, res.witness) == (first is None, first)
+def _check_witnesses(n, families):
+    # the oracle scans all of T(n) in canonical order for the first outside
+    # idempotent that commutes with every member by the block test
+    idems = sl.enumerate_idempotents(n)
+    for s in families:
+        decs = [sl.orbit_decomposition(e) for e in s.elements]
+        first = next(
+            (
+                f
+                for f in idems
+                if f not in s.elements
+                and all(sl.commutes_with_idempotent(d, f) for d in decs)
+            ),
+            None,
+        )
+        res = sl.is_maximal(s)
+        assert (res.is_maximal, res.witness) == (first is None, first)
+
+
+def _sized_families(n):
+    for t in range(n):
+        for m in range(1, (1 << (n - 1)) + 1):
+            yield sl.semilattice_of_size(n, t, m)
+
+
+def test_is_maximal_witness_is_the_first_extender(maximal_by_n):
+    for n in range(1, 6):
+        _check_witnesses(n, _sized_families(n))
+        _check_witnesses(n, maximal_by_n[n])
+
+
+@pytest.mark.slow
+def test_is_maximal_witness_is_the_first_extender_n6():
+    _check_witnesses(6, _sized_families(6))
 
 
 def test_boolean_lattice_on_collapse_families():

@@ -193,9 +193,30 @@ def test_enumerate_idempotents_counts_and_order():
             key=lambda t: t.images,
         )
         assert list(sl.enumerate_idempotents(n)) == brute
-    for n in range(1, 7):
+    for n in range(1, 9):
         expected = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
         assert len(sl.enumerate_idempotents(n)) == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_centralizer_listing_matches_the_naive_filter(data):
+    # arbitrary maps as well as idempotents: the search must handle any map
+    # it is asked to commute with
+    n = data.draw(st.integers(1, 5))
+    idems = sl.enumerate_idempotents(n)
+    maps = st.builds(
+        lambda images: T(n, images), st.tuples(*[st.integers(0, n - 1)] * n)
+    )
+    others = data.draw(st.lists(st.one_of(maps, st.sampled_from(idems)), max_size=4))
+    assert sl.enumerate_idempotents(n, others) == tuple(
+        f for f in idems if all(sl.commutes(f, e) for e in others)
+    )
+
+
+def test_centralizer_listing_rejects_a_map_on_another_ground_set():
+    with pytest.raises(ValueError, match="ground-set mismatch: 2 vs 3"):
+        sl.enumerate_idempotents(3, [sl.identity(3), sl.identity(2)])
 
 
 def test_idempotent_count_validation():
