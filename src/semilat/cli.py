@@ -7,9 +7,13 @@ keywords once; :func:`build_parser` and :func:`main` both read these tables.
 The parser is built once per process, on the first :func:`main` call, and
 binds no stream: usage and help go to whatever ``sys.stderr`` and
 ``sys.stdout`` are at the time of each call.
-Each handler takes the parsed argparse namespace and calls the library, which
-checks every argument (n, t, m, the cap, input files); the CLI checks none
-itself and maps the library's ``ValueError`` or ``OSError`` to exit status 2.
+Each handler takes the parsed argparse namespace, calls the library, which
+checks every argument (n, t, m, the cap, input files), and returns its exit
+status and its output, writing nothing.  :func:`main` is the one place that
+writes command output: it renders a JSON object with ``formats.dumps`` and
+only then opens ``--out`` (or takes stdout), so a failed command leaves no
+file.  The CLI checks no argument itself; :func:`main` maps the library's
+``ValueError`` or ``OSError`` to exit status 2.
 Exit status 0 on success or PASS, 1 on a verification FAIL, 2 on usage or
 input errors.  Enumerating subcommands take ``--cap`` to lift the default
 enumeration cap, up to the library's hard maximum.
@@ -42,6 +46,9 @@ from .semilattice import (
 )
 from .transform import enumerate_idempotents
 
+# A handler's exit status and output: text, or a JSON object for `main` to dump.
+_Output = tuple[int, str | dict]
+
 
 def _read_input(args: argparse.Namespace) -> formats.ParsedFile:
     if args.input_path == "-":
@@ -57,14 +64,6 @@ def _read_semilattice(args: argparse.Namespace) -> Semilattice:
     return verify_semilattice(parsed.n, parsed.transformations)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _annotations(s: Semilattice) -> dict:
     maximality = is_maximal(s)
     boolean = is_boolean_lattice(s)
@@ -75,73 +74,61 @@ def _annotations(s: Semilattice) -> dict:
     }
 
 
-def _emit_semilattice(args: argparse.Namespace, s: Semilattice, t: int | None) -> int:
+def _render_semilattice(args: argparse.Namespace, s: Semilattice, t: int | None) -> _Output:
     if args.format == "json":
         annotations = _annotations(s) if args.annotate else None
-        _emit(args, formats.dumps(formats.semilattice_to_dict(s, annotations)))
-    else:
-        _emit(args, formats.format_semilattice_text(s, t))
-    return 0
+        return 0, formats.semilattice_to_dict(s, annotations)
+    return 0, formats.format_semilattice_text(s, t)
 
 
-def _cmd_idempotents(args: argparse.Namespace) -> int:
+def _cmd_idempotents(args: argparse.Namespace) -> _Output:
     idems = enumerate_idempotents(args.n)
     if args.format == "json":
-        _emit(
-            args,
-            formats.dumps(
-                {
-                    "n": args.n,
-                    "count": len(idems),
-                    "idempotents": [list(e.images) for e in idems],
-                }
-            ),
-        )
-    else:
-        lines = [f"n={args.n} count={len(idems)}"]
-        lines.extend(e.word() for e in idems)
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+        return 0, {
+            "n": args.n,
+            "count": len(idems),
+            "idempotents": [list(e.images) for e in idems],
+        }
+    lines = [f"n={args.n} count={len(idems)}"]
+    lines.extend(e.word() for e in idems)
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_et(args: argparse.Namespace) -> int:
-    return _emit_semilattice(args, collapse_semilattice(args.n, args.t), args.t)
+def _cmd_et(args: argparse.Namespace) -> _Output:
+    return _render_semilattice(args, collapse_semilattice(args.n, args.t), args.t)
 
 
-def _cmd_make_size(args: argparse.Namespace) -> int:
+def _cmd_make_size(args: argparse.Namespace) -> _Output:
     s = semilattice_of_size(args.n, args.t, args.m)
-    return _emit_semilattice(args, s, args.t)
+    return _render_semilattice(args, s, args.t)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Output:
     parsed = _read_input(args)
     violation = find_violation(parsed.n, parsed.transformations)
     if violation is None:
         size = len(set(parsed.transformations))
         if args.format == "json":
-            _emit(args, formats.dumps({"valid": True, "n": parsed.n, "size": size}))
-        else:
-            _emit(args, f"VALID n={parsed.n} size={size}\n")
-        return 0
-    if args.format == "json":
-        payload = {
-            "valid": False,
-            "axiom": violation.axiom,
-            "elements": [list(e.images) for e in violation.elements],
-        }
-        if violation.product is not None:
-            payload["missing_product"] = list(violation.product.images)
-        _emit(args, formats.dumps(payload))
-    else:
-        _emit(args, f"INVALID {violation.describe()}\n")
-    return 1
+            return 0, {"valid": True, "n": parsed.n, "size": size}
+        return 0, f"VALID n={parsed.n} size={size}\n"
+    if args.format != "json":
+        return 1, f"INVALID {violation.describe()}\n"
+    payload = {
+        "valid": False,
+        "axiom": violation.axiom,
+        "elements": [list(e.images) for e in violation.elements],
+    }
+    if violation.product is not None:
+        payload["missing_product"] = list(violation.product.images)
+    return 1, payload
 
 
-def _cmd_maximal(args: argparse.Namespace) -> int:
+def _cmd_maximal(args: argparse.Namespace) -> _Output:
     s = _read_semilattice(args)
     result = is_maximal(s)
+    code = 0 if result.is_maximal else 1
     if args.format == "json":
-        payload = {
+        return code, {
             "maximal": result.is_maximal,
             "n": s.n,
             "size": len(s),
@@ -149,69 +136,53 @@ def _cmd_maximal(args: argparse.Namespace) -> int:
             if result.witness is None
             else list(result.witness.images),
         }
-        _emit(args, formats.dumps(payload))
-    elif result.is_maximal:
-        _emit(args, f"MAXIMAL n={s.n} size={len(s)}\n")
-    else:
-        _emit(args, f"NOT-MAXIMAL extend-with: {result.witness.word()}\n")
-    return 0 if result.is_maximal else 1
+    if result.is_maximal:
+        return code, f"MAXIMAL n={s.n} size={len(s)}\n"
+    return code, f"NOT-MAXIMAL extend-with: {result.witness.word()}\n"
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> _Output:
     s = _read_semilattice(args)
     result = reduce_semilattice(s)
     if args.format == "json":
-        _emit(args, formats.dumps(formats.reduction_to_dict(result)))
-    else:
-        _emit(args, formats.format_reduction_text(result))
-    return 0
+        return 0, formats.reduction_to_dict(result)
+    return 0, formats.format_reduction_text(result)
 
 
-def _cmd_order(args: argparse.Namespace) -> int:
+def _cmd_order(args: argparse.Namespace) -> _Output:
     s = _read_semilattice(args)
     name = "transitivity" if args.transitivity else "natural"
     relation = transitivity_order(s) if args.transitivity else natural_order(s)
     if args.format == "json":
-        _emit(args, formats.dumps(formats.poset_to_dict(name, relation, s.n)))
-    else:
-        _emit(args, formats.format_poset_text(name, relation, s.n))
-    return 0
+        return 0, formats.poset_to_dict(name, relation, s.n)
+    return 0, formats.format_poset_text(name, relation, s.n)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
     if args.format == "json":
-        _emit(
-            args,
-            formats.dumps(
-                {
-                    "n": args.n,
-                    "count": len(semis),
-                    "semilattices": [formats.semilattice_to_dict(s) for s in semis],
-                }
-            ),
-        )
-    else:
-        blocks = [f"n={args.n} count={len(semis)}"]
-        for s in semis:
-            blocks.append("")
-            blocks.append(formats.format_semilattice_text(s).rstrip("\n"))
-        _emit(args, "\n".join(blocks) + "\n")
-    return 0
+        return 0, {
+            "n": args.n,
+            "count": len(semis),
+            "semilattices": [formats.semilattice_to_dict(s) for s in semis],
+        }
+    blocks = [f"n={args.n} count={len(semis)}"]
+    for s in semis:
+        blocks.append("")
+        blocks.append(formats.format_semilattice_text(s).rstrip("\n"))
+    return 0, "\n".join(blocks) + "\n"
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> _Output:
     report = spectrum(args.n, cap=args.cap)
     if args.format == "json":
-        _emit(args, formats.dumps(formats.spectrum_to_dict(report)))
-    elif args.format == "csv":
-        _emit(args, formats.spectrum_to_csv(report))
-    else:
-        _emit(args, formats.format_spectrum_text(report))
-    return 0
+        return 0, formats.spectrum_to_dict(report)
+    if args.format == "csv":
+        return 0, formats.spectrum_to_csv(report)
+    return 0, formats.format_spectrum_text(report)
 
 
-def _cmd_verify_theorem(args: argparse.Namespace) -> int:
+def _cmd_verify_theorem(args: argparse.Namespace) -> _Output:
     winners = max_size_semilattices(args.n, cap=args.cap)
     lines = []
     ok = True
@@ -219,8 +190,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
         ok &= holds
         lines.append(f"{'PASS' if holds else 'FAIL'} {statement}")
     lines.append(f"RESULT {'PASS' if ok else 'FAIL'} n={args.n}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return 0 if ok else 1, "\n".join(lines) + "\n"
 
 
 # Each argument once: name -> (flag, argparse keywords).
@@ -283,10 +253,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command][0](args)
+        code, output = _COMMANDS[args.command][0](args)
+        text = output if isinstance(output, str) else formats.dumps(output)
+        if args.output_path in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(args.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

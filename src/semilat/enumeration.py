@@ -45,6 +45,7 @@ from .transform import (
     Transformation,
     check_points,
     commutes_with_idempotent,
+    constant,
     enumerate_idempotents,
     orbit_decomposition,
     points,
@@ -228,7 +229,7 @@ def _sink_zero_families(n: int, cap: int | None) -> tuple[Semilattice, ...]:
     """The maximal subsemilattices of T(n) that contain the constant c_0,
     verified, in search order.  Raises CapExceeded above the cap."""
     _check_cap(n, cap)
-    verts = tuple(e for e in enumerate_idempotents(n) if e.images[0] == 0)
+    verts = enumerate_idempotents(n, (constant(n, 0),))  # the idempotents fixing 0
     graph = build_commuting_graph(n, verts)
     rows = graph.rows
     verifier = _CliqueVerifier(n, graph.vertices)

@@ -2,8 +2,8 @@
 
 Transformations travel as whitespace-separated image words, one per line;
 ``#`` starts a comment.  A semilattice file may carry a leading header line
-``n=<N> [t=<T>] size=<K>``.  All JSON is emitted with sorted keys and a fixed
-layout so identical runs are byte-identical.
+``n=<N> [t=<T>] size=<K>``, with T < N.  All JSON is emitted with sorted
+keys and a fixed layout so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .reduction import ReductionResult
 from .semilattice import PosetRelation, Semilattice
 from .transform import Transformation
 
-_HEADER_RE = re.compile(r"^n=([0-9]+)(?:\s+t=[0-9]+)?\s+size=([0-9]+)$")
+_HEADER_RE = re.compile(r"^n=([0-9]+)(?:\s+t=([0-9]+))?\s+size=([0-9]+)$")
 
 
 class ParseError(ValueError):
@@ -49,7 +49,9 @@ def parse_transformations(text: str) -> ParsedFile:
             seen_content = True
             m = _HEADER_RE.match(line)
             if m:
-                n, announced = int(m.group(1)), int(m.group(2))
+                n, t, announced = int(m.group(1)), m.group(2), int(m.group(3))
+                if t is not None and int(t) >= n:
+                    raise ParseError(lineno, f"t={int(t)} outside [0, {n})")
                 continue
         tokens = line.split()
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):

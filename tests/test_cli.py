@@ -9,7 +9,7 @@ import pytest
 
 import semilat as sl
 from semilat import formats
-from semilat.cli import _COMMANDS, build_parser, main
+from semilat.cli import _ARGUMENTS, _COMMANDS, build_parser, main
 
 ET30_TEXT = "n=3 t=0 size=4\n0 0 0\n0 0 2\n0 1 0\n0 1 2\n"
 
@@ -94,6 +94,14 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 2
     assert "size=9" in err
+
+    # a header t outside [0, n), reported on the header's own line
+    bad_sinks = [("n=3 t=99 size=1\n", 1, 99), ("# c\nn=3 t=3 size=1\n", 2, 3)]
+    for text, lineno, t in bad_sinks:
+        path.write_text(text + "0 1 2\n")
+        assert run(capsys, "verify", "--in", str(path)) == (
+            2, "", f"error: line {lineno}: t={t} outside [0, 3)\n"
+        )
 
     path.write_text("# nothing here\n")
     code, _, err = run(capsys, "verify", "--in", str(path))
@@ -378,45 +386,163 @@ IDEMPOTENTS_N3 = [
 CLOSURE_GAP = "0 0 2\n0 1 0\n"  # their product 0 0 0 is missing
 ET30_LESS_TOP = "0 0 0\n0 0 2\n0 1 0\n"  # extended by the identity
 
-# (argv, stdin, exit code, stdout) of every output path at n = 3.
-OUTPUTS_N3 = [
-    ("reduce --in -", ET30_TEXT, 0,
-     "anchor: t=0 u=1\nsizes: S=4 S_star=2 S_star_u=2\n"
-     "star:\nn=3 size=2\n0 0 0\n0 0 2\n"
-     "restricted:\nn=2 size=2\n0 0\n0 1\n"),
-    ("order --in -", ET30_TEXT, 0,
-     "order=natural n=3 size=4\ncarrier:\n0: 0 0 0\n1: 0 0 2\n2: 0 1 0\n3: 0 1 2\n"
-     "leq:\n1 1 1 1\n0 1 0 1\n0 0 1 1\n0 0 0 1\n"),
-    ("order --in - --transitivity", ET30_TEXT, 0,
-     "order=transitivity n=3 size=3\ncarrier:\n0: 0\n1: 1\n2: 2\n"
-     "leq:\n1 1 1\n0 1 0\n0 0 1\n"),
-    ("idempotents --n 3 --format json", None, 0,
-     _json({"count": 10, "idempotents": IDEMPOTENTS_N3, "n": 3})),
-    ("verify --in - --format json", ET30_TEXT, 0,
-     _json({"n": 3, "size": 4, "valid": True})),
-    ("verify --in - --format json", CLOSURE_GAP, 1,
-     _json({"axiom": "closure", "elements": [[0, 0, 2], [0, 1, 0]],
-            "missing_product": [0, 0, 0], "valid": False})),
-    ("maximal --in - --format json", ET30_TEXT, 0,
-     _json({"maximal": True, "n": 3, "size": 4, "witness": None})),
-    ("maximal --in - --format json", ET30_LESS_TOP, 1,
-     _json({"maximal": False, "n": 3, "size": 3, "witness": [0, 1, 2]})),
+ET31_ANNOTATED = {
+    "annotations": {
+        "atoms": [[0, 1, 1], [1, 1, 2]], "is_boolean": True, "is_maximal": True,
+    },
+    "elements": [[0, 1, 1], [0, 1, 2], [1, 1, 1], [1, 1, 2]],
+    "n": 3,
+}
+SIZE3_ANNOTATED = {
+    "annotations": {
+        "atoms": [[0, 0, 2], [0, 1, 0]], "is_boolean": False, "is_maximal": False,
+    },
+    "elements": [[0, 0, 0], [0, 0, 2], [0, 1, 0]],
+    "n": 3,
+}
+# the maximal subsemilattices of T(3), in listing order
+ENUMERATE_N3 = [
+    [[0, 0, 0], [0, 0, 2], [0, 1, 0], [0, 1, 2]],
+    [[0, 1, 1], [0, 1, 2], [1, 1, 1], [1, 1, 2]],
+    [[0, 1, 2], [0, 2, 2], [2, 1, 2], [2, 2, 2]],
+    [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+    [[0, 0, 0], [0, 1, 2], [0, 2, 2]],
+    [[0, 0, 2], [0, 1, 2], [2, 2, 2]],
+    [[0, 1, 0], [0, 1, 2], [1, 1, 1]],
+    [[0, 1, 2], [1, 1, 1], [2, 1, 2]],
+    [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
 ]
+ENUMERATE_N3_TEXT = (
+    "n=3 count=9\n"
+    "\nn=3 size=4\n0 0 0\n0 0 2\n0 1 0\n0 1 2\n"
+    "\nn=3 size=4\n0 1 1\n0 1 2\n1 1 1\n1 1 2\n"
+    "\nn=3 size=4\n0 1 2\n0 2 2\n2 1 2\n2 2 2\n"
+    "\nn=3 size=3\n0 0 0\n0 1 1\n0 1 2\n"
+    "\nn=3 size=3\n0 0 0\n0 1 2\n0 2 2\n"
+    "\nn=3 size=3\n0 0 2\n0 1 2\n2 2 2\n"
+    "\nn=3 size=3\n0 1 0\n0 1 2\n1 1 1\n"
+    "\nn=3 size=3\n0 1 2\n1 1 1\n2 1 2\n"
+    "\nn=3 size=3\n0 1 2\n1 1 2\n2 2 2\n"
+)
+
+# id -> (argv, stdin, exit code, stdout): every (subcommand, format) at n = 3.
+OUTPUTS_N3 = {
+    "reduce": ("reduce --in -", ET30_TEXT, 0,
+               "anchor: t=0 u=1\nsizes: S=4 S_star=2 S_star_u=2\n"
+               "star:\nn=3 size=2\n0 0 0\n0 0 2\n"
+               "restricted:\nn=2 size=2\n0 0\n0 1\n"),
+    "reduce-json": ("reduce --in - --format json", ET30_TEXT, 0,
+                    _json({"anchor": {"t": 0, "u": 1},
+                           "restricted": {"elements": [[0, 0], [0, 1]], "n": 2},
+                           "sizes": {"S": 4, "S_star": 2, "S_star_u": 2},
+                           "star": {"elements": [[0, 0, 0], [0, 0, 2]], "n": 3}})),
+    "order": ("order --in -", ET30_TEXT, 0,
+              "order=natural n=3 size=4\ncarrier:\n0: 0 0 0\n1: 0 0 2\n2: 0 1 0\n"
+              "3: 0 1 2\nleq:\n1 1 1 1\n0 1 0 1\n0 0 1 1\n0 0 0 1\n"),
+    "order-json": ("order --in - --format json", ET30_TEXT, 0,
+                   _json({"carrier": [[0, 0, 0], [0, 0, 2], [0, 1, 0], [0, 1, 2]],
+                          "leq": [[True, True, True, True], [False, True, False, True],
+                                  [False, False, True, True],
+                                  [False, False, False, True]],
+                          "n": 3, "order": "natural"})),
+    "order-transitivity": ("order --in - --transitivity", ET30_TEXT, 0,
+                           "order=transitivity n=3 size=3\ncarrier:\n0: 0\n1: 1\n"
+                           "2: 2\nleq:\n1 1 1\n0 1 0\n0 0 1\n"),
+    "order-transitivity-json": (
+        "order --in - --transitivity --format json", ET30_TEXT, 0,
+        _json({"carrier": [0, 1, 2],
+               "leq": [[True, True, True], [False, True, False], [False, False, True]],
+               "n": 3, "order": "transitivity"})),
+    "idempotents": ("idempotents --n 3", None, 0,
+                    "n=3 count=10\n0 0 0\n0 0 2\n0 1 0\n0 1 1\n0 1 2\n0 2 2\n"
+                    "1 1 1\n1 1 2\n2 1 2\n2 2 2\n"),
+    "idempotents-json": ("idempotents --n 3 --format json", None, 0,
+                         _json({"count": 10, "idempotents": IDEMPOTENTS_N3, "n": 3})),
+    "verify-valid": ("verify --in -", ET30_TEXT, 0, "VALID n=3 size=4\n"),
+    "verify-closure": ("verify --in -", CLOSURE_GAP, 1,
+                       "INVALID closure fails for the pair [0 0 2, 0 1 0]: "
+                       "product [0 0 0] is missing\n"),
+    "verify-json-valid": ("verify --in - --format json", ET30_TEXT, 0,
+                          _json({"n": 3, "size": 4, "valid": True})),
+    "verify-json-closure": ("verify --in - --format json", CLOSURE_GAP, 1,
+                            _json({"axiom": "closure",
+                                   "elements": [[0, 0, 2], [0, 1, 0]],
+                                   "missing_product": [0, 0, 0], "valid": False})),
+    "maximal-yes": ("maximal --in -", ET30_TEXT, 0, "MAXIMAL n=3 size=4\n"),
+    "maximal-no": ("maximal --in -", ET30_LESS_TOP, 1,
+                   "NOT-MAXIMAL extend-with: 0 1 2\n"),
+    "maximal-json-yes": ("maximal --in - --format json", ET30_TEXT, 0,
+                         _json({"maximal": True, "n": 3, "size": 4, "witness": None})),
+    "maximal-json-no": ("maximal --in - --format json", ET30_LESS_TOP, 1,
+                        _json({"maximal": False, "n": 3, "size": 3,
+                               "witness": [0, 1, 2]})),
+    "et": ("et --n 3 --t 0", None, 0, ET30_TEXT),
+    "et-json-annotate": ("et --n 3 --t 1 --format json --annotate", None, 0,
+                         _json(ET31_ANNOTATED)),
+    "make-size": ("make-size --n 3 --t 0 --m 3", None, 0,
+                  "n=3 t=0 size=3\n" + ET30_LESS_TOP),
+    "make-size-json-annotate": ("make-size --n 3 --t 0 --m 3 --format json --annotate",
+                                None, 0, _json(SIZE3_ANNOTATED)),
+    "enumerate": ("enumerate --n 3", None, 0, ENUMERATE_N3_TEXT),
+    "enumerate-json": ("enumerate --n 3 --format json", None, 0,
+                       _json({"count": 9, "n": 3, "semilattices": [
+                           {"elements": f, "n": 3} for f in ENUMERATE_N3]})),
+    "spectrum": ("spectrum --n 3", None, 0,
+                 "n=3 total_maximal=9 max_size=4\nsize count\n   3     6\n   4     3\n"),
+    "spectrum-json": ("spectrum --n 3 --format json", None, 0,
+                      _json({"histogram": [{"count": 6, "size": 3},
+                                           {"count": 3, "size": 4}],
+                             "max_size": 4, "n": 3, "total_maximal": 9,
+                             "witnesses": {
+                                 "3": {"elements": ENUMERATE_N3[3], "n": 3},
+                                 "4": {"elements": ENUMERATE_N3[0], "n": 3}}})),
+    "spectrum-csv": ("spectrum --n 3 --format csv", None, 0,
+                     "n,size,count\n3,3,6\n3,4,3\n"),
+    "verify-theorem": ("verify-theorem --n 3", None, 0, VERIFY_THEOREM_N3),
+}
+
+
+def _command_and_format(argv):
+    words = argv.split()
+    return words[0], words[words.index("--format") + 1] if "--format" in words else "text"
+
+
+def test_output_cases_cover_every_subcommand_and_format():
+    expected = set()
+    for command, (_, names, _) in _COMMANDS.items():
+        flag = next((name for name in names.split() if name.startswith("format")), None)
+        choices = _ARGUMENTS[flag][1]["choices"] if flag else ("text",)
+        expected |= {(command, choice) for choice in choices}
+    assert {_command_and_format(argv) for argv, *_ in OUTPUTS_N3.values()} == expected
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, code, out",
-    OUTPUTS_N3,
-    ids=[
-        "reduce", "order", "order-transitivity", "idempotents-json",
-        "verify-json-valid", "verify-json-closure", "maximal-json-yes",
-        "maximal-json-no",
-    ],
+    "argv, stdin, code, out", list(OUTPUTS_N3.values()), ids=list(OUTPUTS_N3)
 )
 def test_output_bytes_n3(capsys, monkeypatch, argv, stdin, code, out):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(capsys, *argv.split()) == (code, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, out", list(OUTPUTS_N3.values()), ids=list(OUTPUTS_N3)
+)
+def test_output_bytes_n3_through_out(tmp_path, capsys, monkeypatch, argv, stdin,
+                                     code, out):
+    # the same bytes and exit status, written to the --out file and not stdout
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv.split(), "--out", str(path)) == (code, "", "")
+    assert path.read_text(encoding="utf-8") == out
+
+
+def test_failed_command_leaves_no_out_file(tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    code, out, err = run(capsys, "et", "--n", "3", "--t", "5", "--out", str(path))
+    assert (code, out, err) == (2, "", "error: t=5 outside [0, 3)\n")
+    assert not path.exists()
 
 
 def test_parse_error_names_a_non_integer_word(capsys, monkeypatch):

@@ -151,7 +151,9 @@ def test_search_builds_only_the_sink_zero_graph(monkeypatch):
     assert (len(full.vertices), full.edge_count()) == (41, 280)
 
 
-@pytest.mark.parametrize("n, edges", [(3, 10), (4, 106), (5, 1298)])
+@pytest.mark.parametrize(
+    "n, edges", [(1, 0), (2, 1), (3, 10), (4, 106), (5, 1298), (6, 18401)]
+)
 def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
     # Every edge lies in some maximal clique and the memo keeps each pair's
     # outcome, so naive composition re-checks every edge of the block-test
@@ -170,8 +172,12 @@ def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
 
     monkeypatch.setattr(enumeration, "build_commuting_graph", record_graph)
     monkeypatch.setattr(enumeration._CliqueVerifier, "_product", record_pair)
-    enumeration._sink_zero_families(n, None)
+    enumeration._sink_zero_families(n, enumeration.HARD_CAP)
     (graph,) = graphs
+    # the search's vertices, c_0's centralizer, are the idempotents fixing 0
+    assert graph.vertices == tuple(
+        e for e in sl.enumerate_idempotents(n) if e.images[0] == 0
+    )
     assert graph.edge_count() == edges
     assert sorted(pairs) == [
         (i, j) for i, row in enumerate(graph.rows) for j in points(row) if i < j

@@ -1,19 +1,38 @@
-"""The benchmark's tracer wraps library functions by name; each must exist."""
+"""The benchmark's tracer wraps library functions by name; each must exist,
+and the CLI's JSON output must pass through the wrapped `formats.dumps`."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from semilat import cli
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_every_wrapped_name_is_bound():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_wrapped_name_is_bound():
+    tracing = _load_tracing()
     unbound = [
         (module, name)
         for module, name, _ in tracing.WRAPPED
         if not hasattr(importlib.import_module(module), name)
     ]
     assert tracing.WRAPPED and unbound == []
+
+
+def test_json_output_goes_through_the_traced_dumps(capsys):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["spectrum", "--n", "3", "--format", "json"])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out.startswith("{")
+    assert "formats.dumps" in tracer.table()
