@@ -32,7 +32,6 @@ from .semilattice import (
     is_boolean_lattice,
     is_injective_except_sink,
     is_maximal,
-    meet,
     natural_order,
     semilattice_of_size,
     transitivity_order,

@@ -2,8 +2,9 @@
 
 Transformations travel as whitespace-separated image words, one per line;
 ``#`` starts a comment.  A semilattice file may carry a leading header line
-``n=<N> [t=<T>] size=<K>``, with T < N.  All JSON is emitted with sorted
-keys and a fixed layout so identical runs are byte-identical.
+``n=<N> [t=<T>] size=<K>``, with T < N and K the number of distinct maps.
+All JSON is emitted with sorted keys and a fixed layout so identical runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def parse_transformations(text: str) -> ParsedFile:
             raise ParseError(lineno, str(exc)) from None
     if not out:
         raise ParseError(1, "no transformations found")
-    if announced is not None and announced != len(out):
+    maps = len(set(out))
+    if announced is not None and announced != maps:
         raise ParseError(
-            1, f"header announces size={announced} but file has {len(out)} maps"
+            1, f"header announces size={announced} but file has {maps} maps"
         )
     return ParsedFile(n, tuple(out))
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .semilattice import Semilattice, collapse_semilattice, verify_semilattice
-from .transform import Transformation
+from .semilattice import Semilattice, is_injective_except_sink, verify_semilattice
+from .transform import Transformation, is_idempotent
 
 
 class ContractViolation(RuntimeError):
@@ -48,21 +48,17 @@ def is_valid_anchor(s: Semilattice, anchor: Anchor) -> bool:
 
 
 def find_anchor(s: Semilattice) -> Anchor:
-    """Smallest qualifying t, then smallest qualifying u.
+    """The least valid anchor (t, u) in lexicographic order.
 
     Existence is guaranteed for every semilattice on at least two points, so
     exhausting the search means the input was not a semilattice.
     """
     if s.n < 2:
         raise ValueError("anchors need at least two points")
-    for t in range(s.n):
-        if any(e.images[t] != t for e in s.elements):
-            continue
-        for u in range(s.n):
-            if u == t:
-                continue
-            if all(e.images[u] in (u, t) for e in s.elements):
-                return Anchor(t, u)
+    pairs = (Anchor(t, u) for t in range(s.n) for u in range(s.n) if u != t)
+    for anchor in pairs:
+        if is_valid_anchor(s, anchor):
+            return anchor
     raise ContractViolation("no anchor found: the input is not a semilattice")
 
 
@@ -146,31 +142,27 @@ def collapse_embedding(
     Requires the anchor to be valid for ``s`` and every point outside
     {t, u} to have at most one preimage under every element.  Each element e
     maps to the transformation that keeps e's values except that u-valued
-    outputs at points other than u are rewritten to t.  Outputs are checked to
-    be collapse maps; the map is injective, and it misses part of the collapse
-    family whenever some element has two or more preimages of u.
+    outputs at points other than u are rewritten to t.  Each output is checked
+    to be a collapse map: an idempotent that is injective except at the sink t.
+    The map is injective, and it misses part of the collapse family whenever
+    some element has two or more preimages of u.
     """
     if not is_valid_anchor(s, anchor):
         raise ValueError(
             f"anchor (t={anchor.t}, u={anchor.u}) is not valid for this semilattice"
         )
     t, u = anchor.t, anchor.u
-    n = s.n
     for e in s.elements:
-        counts = [0] * n
-        for y in e.images:
-            counts[y] += 1
-        for x in range(n):
-            if x != t and x != u and counts[x] > 1:
+        for x in range(s.n):
+            if x != t and x != u and e.images.count(x) > 1:
                 raise EmbeddingHypothesisError(e, x)
-    members = set(collapse_semilattice(n, t).elements)
     out: Dict[Transformation, Transformation] = {}
     for e in s.elements:
         images = tuple(
             t if (x != u and y == u) else y for x, y in enumerate(e.images)
         )
-        lam = Transformation(n, images)
-        if lam not in members:
+        lam = Transformation(s.n, images)
+        if not (is_idempotent(lam) and is_injective_except_sink(t, lam)):
             raise ContractViolation(
                 f"embedding sent [{e.word()}] to [{lam.word()}], "
                 f"which is not a sink-{t} collapse map"

@@ -187,15 +187,6 @@ def natural_order(s: Semilattice) -> PosetRelation:
     return PosetRelation(s.elements, leq)
 
 
-def meet(s: Semilattice, a: Transformation, b: Transformation) -> Transformation:
-    """Greatest lower bound of two members under the natural order."""
-    members = set(s.elements)
-    for x in (a, b):
-        if x not in members:
-            raise ValueError(f"[{x.word()}] is not an element of the semilattice")
-    return compose(a, b)
-
-
 def _check_sink(n: int, t: int) -> None:
     """Reject a sink outside the ground set [0, n)."""
     if not 0 <= t < n:

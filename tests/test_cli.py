@@ -569,6 +569,22 @@ def test_parse_accepts_only_ascii_digits(capsys, monkeypatch, stdin, line):
     )
 
 
+@pytest.mark.parametrize(
+    "stdin, code, out, err",
+    [
+        ("n=3 size=2\n0 1 2\n0 1 2\n", 2, "",
+         "error: line 1: header announces size=2 but file has 1 maps\n"),
+        ("n=3 size=1\n0 1 2\n0 1 2\n", 0, "VALID n=3 size=1\n", ""),
+        ("0 1 2\n0 1 2\n", 0, "VALID n=3 size=1\n", ""),
+    ],
+    ids=["header-counts-lines", "header-counts-maps", "headerless"],
+)
+def test_header_size_counts_distinct_maps(capsys, monkeypatch, stdin, code, out,
+                                          err):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(capsys, "verify", "--in", "-") == (code, out, err)
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

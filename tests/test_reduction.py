@@ -41,6 +41,19 @@ def test_found_anchors_are_valid_everywhere(oracle_by_n, maximal_by_n):
             assert sl.is_valid_anchor(s, sl.find_anchor(s))
 
 
+def test_find_anchor_is_the_least_valid_anchor(oracle_by_n, maximal_by_n):
+    pool = [s for n in (2, 3) for s in oracle_by_n[n]]
+    pool += [s for n in (2, 3, 4, 5) for s in maximal_by_n[n]]
+    for s in pool:
+        least = min(
+            (t, u)
+            for t in range(s.n)
+            for u in range(s.n)
+            if u != t and sl.is_valid_anchor(s, sl.Anchor(t, u))
+        )
+        assert sl.find_anchor(s) == sl.Anchor(*least)
+
+
 def test_redirect_examples():
     anchor = sl.Anchor(0, 1)
     assert sl.redirect(T(3, [0, 1, 0]), anchor) == T(3, [0, 0, 0])
@@ -138,6 +151,24 @@ def test_collapse_embedding_fixes_collapse_subfamilies(oracle_by_n):
                     continue
                 emb = sl.collapse_embedding(s, sl.Anchor(t, u))
                 assert all(emb[e] == e for e in s.elements)
+
+
+def test_collapse_embedding_n16_collapse_subfamily_is_fixed():
+    s = sl.semilattice_of_size(16, 0, 6)
+    emb = sl.collapse_embedding(s, sl.Anchor(0, 1))
+    assert len(set(emb.values())) == len(s)
+    assert all(emb[e] == e for e in s.elements)
+
+
+def test_collapse_embedding_names_an_image_that_is_no_collapse_map():
+    # unchecked: 0 1 3 2 is no idempotent, yet (0, 1) passes the anchor test
+    # and no point outside {0, 1} is hit twice, so its image 0 1 3 2 is wrong
+    s = sl.Semilattice(4, (T(4, (0, 1, 3, 2)),))
+    with pytest.raises(sl.ContractViolation) as exc:
+        sl.collapse_embedding(s, sl.Anchor(0, 1))
+    assert str(exc.value) == (
+        "embedding sent [0 1 3 2] to [0 1 3 2], which is not a sink-0 collapse map"
+    )
 
 
 def test_collapse_embedding_rejects_invalid_anchor():
