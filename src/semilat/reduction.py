@@ -38,13 +38,15 @@ class Anchor:
             raise ValueError("anchor points must be nonnegative")
 
 
+def _is_anchor(s: Semilattice, t: int, u: int) -> bool:
+    """The anchor hypothesis on points of [0, n): every element fixes t and
+    sends u to u or t."""
+    return all(e.images[t] == t and e.images[u] in (u, t) for e in s.elements)
+
+
 def is_valid_anchor(s: Semilattice, anchor: Anchor) -> bool:
     t, u = anchor.t, anchor.u
-    if not (t < s.n and u < s.n):
-        return False
-    return all(
-        e.images[t] == t and e.images[u] in (u, t) for e in s.elements
-    )
+    return t < s.n and u < s.n and _is_anchor(s, t, u)
 
 
 def find_anchor(s: Semilattice) -> Anchor:
@@ -55,10 +57,10 @@ def find_anchor(s: Semilattice) -> Anchor:
     """
     if s.n < 2:
         raise ValueError("anchors need at least two points")
-    pairs = (Anchor(t, u) for t in range(s.n) for u in range(s.n) if u != t)
-    for anchor in pairs:
-        if is_valid_anchor(s, anchor):
-            return anchor
+    for t in range(s.n):
+        for u in range(s.n):
+            if u != t and _is_anchor(s, t, u):
+                return Anchor(t, u)
     raise ContractViolation("no anchor found: the input is not a semilattice")
 
 

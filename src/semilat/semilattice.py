@@ -14,14 +14,12 @@ isomorphic to the power set of the non-sink points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce as _fold
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .transform import (
     Transformation,
     check_points,
-    compose,
     enumerate_idempotents,
     points,
 )
@@ -258,64 +256,41 @@ def is_maximal(s: Semilattice) -> MaximalityResult:
     return MaximalityResult(witness is None, witness)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BooleanLatticeResult:
-    """Outcome of the power-set recognition, with the isomorphism witness.
+    """Outcome of the power-set recognition.
 
-    When the order is Boolean, ``atom_sets`` maps every element to the set of
-    atoms below it; that map is a bijection onto the full power set of the
-    atoms and sends composition to intersection.
+    ``atoms`` are the elements whose down-set is {bottom, itself}, in
+    carrier order; they are reported whether or not the order is Boolean.
     """
 
     is_boolean: bool
     atoms: tuple[Transformation, ...]
-    reason: str = ""
-    atom_sets: Optional[dict[Transformation, frozenset[Transformation]]] = field(
-        default=None, repr=False
-    )
 
     def __bool__(self) -> bool:
         return self.is_boolean
 
 
 def is_boolean_lattice(s: Semilattice) -> BooleanLatticeResult:
-    """Recognize whether the natural order is a power set of its atoms."""
-    order = natural_order(s)
-    leq = order.leq
-    elems = s.elements
-    k = len(elems)
-    bottom_elem = _fold(compose, elems)
-    index = {e: i for i, e in enumerate(elems)}
-    bottom = index[bottom_elem]
-    atom_idx = [
-        i
-        for i in range(k)
-        if i != bottom
-        and all(j in (i, bottom) for j in range(k) if leq[j][i])
-    ]
-    atoms = tuple(elems[i] for i in atom_idx)
-    if k != 1 << len(atom_idx):
-        return BooleanLatticeResult(
-            False, atoms, reason=f"{k} elements but {len(atom_idx)} atoms"
-        )
-    below = [frozenset(a for a in atom_idx if leq[a][i]) for i in range(k)]
-    if len(set(below)) != k:
-        return BooleanLatticeResult(False, atoms, reason="atom sets are not distinct")
-    for i in range(k):
-        for j in range(k):
-            if leq[i][j] != (below[i] <= below[j]):
-                return BooleanLatticeResult(
-                    False, atoms, reason="order does not match atom-set inclusion"
-                )
-            p = index[compose(elems[i], elems[j])]
-            if below[p] != below[i] & below[j]:
-                return BooleanLatticeResult(
-                    False, atoms, reason="composition does not match intersection"
-                )
-    witness = {
-        elems[i]: frozenset(elems[a] for a in below[i]) for i in range(k)
-    }
-    return BooleanLatticeResult(True, atoms, atom_sets=witness)
+    """Recognize whether the natural order is a power set of its atoms.
+
+    Reads only the down-sets of :func:`natural_order`: the bottom is the
+    element below every element, and the order is Boolean iff there are 2^a
+    elements for a atoms and no two elements have the same atoms below them.
+
+    Proof: an atom lies below xy iff it lies below both x and y, so in any
+    semilattice x ↦ atoms-below(x) sends composition to intersection.  With
+    2^a elements and no two alike, that map is onto the 2^a subsets of the
+    atoms, so it is an isomorphism onto the power set ordered by inclusion.
+    """
+    leq = natural_order(s).leq
+    k = len(leq)
+    down = [frozenset(j for j in range(k) if leq[j][i]) for i in range(k)]
+    bottom = next(i for i in range(k) if all(leq[i]))
+    atom_idx = [i for i in range(k) if i != bottom and down[i] == {bottom, i}]
+    atom_sets = {down[i].intersection(atom_idx) for i in range(k)}
+    is_boolean = k == 1 << len(atom_idx) and len(atom_sets) == k
+    return BooleanLatticeResult(is_boolean, tuple(s.elements[i] for i in atom_idx))
 
 
 def transitivity_order(s: Semilattice) -> PosetRelation:

@@ -350,8 +350,12 @@ def test_boolean_lattice_on_collapse_families():
             assert {a.images for a in res.atoms} == {
                 sl.collapse_map(n, t, [x]).images for x in range(n) if x != t
             }
-            # witness is a bijection onto the power set of the atoms
-            assert len(set(res.atom_sets.values())) == 1 << (n - 1)
+
+
+# 2^2 elements and 2 atoms, but 0 0 0 3 and 0 1 0 3 have the same atom set
+_SHARED_ATOM_SET = [
+    T(4, t) for t in ([0, 0, 0, 0], [0, 0, 0, 3], [0, 0, 2, 0], [0, 1, 0, 3])
+]
 
 
 def test_boolean_lattice_counterexamples():
@@ -363,7 +367,92 @@ def test_boolean_lattice_counterexamples():
     )
     res = sl.is_boolean_lattice(chain)
     assert not res.is_boolean
-    assert "3 elements but 1 atoms" in res.reason
+    assert res.atoms == (T(3, [0, 1, 0]),)
+    res = sl.is_boolean_lattice(sl.verify_semilattice(4, _SHARED_ATOM_SET))
+    assert not res.is_boolean
+    assert res.atoms == (T(4, [0, 0, 0, 3]), T(4, [0, 0, 2, 0]))
+
+
+def _boolean_reference(tables):
+    """The full power-set check on image tables, composing every pair:
+    (verdict, atom tables in the given order).
+
+    Boolean iff there are 2^a elements for a atoms, the atom sets are
+    distinct, the order is atom-set inclusion and composition is
+    intersection.
+    """
+    k = len(tables)
+    index = {a: i for i, a in enumerate(tables)}
+    prod = [[index[tuple(b[y] for y in a)] for b in tables] for a in tables]
+    leq = [[prod[i][j] == i for j in range(k)] for i in range(k)]
+    bottom = 0
+    for i in range(k):
+        bottom = prod[bottom][i]
+    atoms = [
+        i
+        for i in range(k)
+        if i != bottom and all(j in (i, bottom) for j in range(k) if leq[j][i])
+    ]
+    below = [frozenset(a for a in atoms if leq[a][i]) for i in range(k)]
+    verdict = (
+        k == 1 << len(atoms)
+        and len(set(below)) == k
+        and all(
+            leq[i][j] == (below[i] <= below[j])
+            and below[prod[i][j]] == below[i] & below[j]
+            for i in range(k)
+            for j in range(k)
+        )
+    )
+    return verdict, [tables[i] for i in atoms]
+
+
+def _check_boolean_against_reference(families):
+    """Assert verdict and atoms equal the reference; return the Boolean count."""
+    booleans = 0
+    for s in families:
+        res = sl.is_boolean_lattice(s)
+        verdict, atoms = _boolean_reference([e.images for e in s.elements])
+        assert (res.is_boolean, [a.images for a in res.atoms]) == (verdict, atoms)
+        booleans += verdict
+    return booleans
+
+
+def _product_closed_subsets(n, maximal):
+    """Every subsemilattice of T(n): each lies in a maximal family, so they are
+    the product-closed nonempty subsets of the maximal families."""
+    found = set()
+    for s in maximal:
+        tables = [e.images for e in s.elements]
+        index = {a: i for i, a in enumerate(tables)}
+        prod = [[1 << index[tuple(b[y] for y in a)] for b in tables] for a in tables]
+        for mask in range(1, 1 << len(tables)):
+            members = [i for i in range(len(tables)) if mask >> i & 1]
+            if all(prod[i][j] & mask for i in members for j in members):
+                found.add(tuple(tables[i] for i in members))
+    return [sl.Semilattice(n, tuple(T(n, a) for a in key)) for key in found]
+
+
+def test_boolean_lattice_matches_the_reference_on_every_subsemilattice(
+    oracle_by_n, maximal_by_n
+):
+    subs3 = _product_closed_subsets(3, maximal_by_n[3])
+    assert set(subs3) == set(oracle_by_n[3]) and len(subs3) == 49
+    _check_boolean_against_reference(subs3)
+    subs4 = _product_closed_subsets(4, maximal_by_n[4])
+    assert len(maximal_by_n[4]) == 76 and len(subs4) == 1273
+    assert sl.verify_semilattice(4, _SHARED_ATOM_SET) in subs4
+    assert _check_boolean_against_reference(subs4) == 361
+
+
+def test_boolean_lattice_matches_the_reference_on_maximal_families(maximal_by_n):
+    for n in range(1, 6):
+        _check_boolean_against_reference(maximal_by_n[n])
+
+
+@pytest.mark.slow
+def test_boolean_lattice_matches_the_reference_on_maximal_families_n6():
+    _check_boolean_against_reference(sl.enumerate_maximal_semilattices(6, cap=6))
 
 
 def test_transitivity_order_examples():
