@@ -7,16 +7,14 @@ maximal subsemilattices for small n.
 
 from .transform import (
     MAX_POINTS,
-    IdempotentDecomposition,
     Transformation,
     commutes,
-    commutes_with_idempotent,
+    commuting_masks,
     compose,
     constant,
     enumerate_idempotents,
     identity,
     is_idempotent,
-    orbit_decomposition,
     points,
 )
 from .semilattice import (

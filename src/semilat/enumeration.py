@@ -8,19 +8,21 @@ closed neighbourhood in the commuting graph, and the other sinks are got by
 conjugation.
 
 The substrate is the commuting graph over those idempotents: vertices in
-canonical order, adjacency decided by the block-wise commuting test.  Maximal
-subsemilattices coincide with maximal cliques of the commuting graph — the
-product of two commuting idempotents is an idempotent commuting with every
-common neighbor, so a maximal clique is automatically product-closed, and a
-clique strictly containing a subsemilattice generates a strictly larger one.
-c_0 is adjacent to every vertex of its neighbourhood, so the maximal cliques
-there are exactly the maximal cliques of the whole graph that contain c_0.
-None of this is taken on faith: the n <= 3 brute-force oracle pins the
-clique identification in the test suite, the full graph over all idempotents
-stays as the oracle for the sink-0 search and the conjugation, and every
-emitted clique is re-verified axiom by axiom on a second route that never
-reads the graph — naive composition of the vertices' image tables, memoised
-per pair of vertex indices.
+canonical order, adjacency decided by :func:`commuting_masks`, the block-wise
+commuting test, which reads each idempotent's image table as its block map and
+forms no product.  Maximal subsemilattices coincide with maximal cliques of
+the commuting graph — the product of two commuting idempotents is an
+idempotent commuting with every common neighbor, so a maximal clique is
+automatically product-closed, and a clique strictly containing a
+subsemilattice generates a strictly larger one.  c_0 is adjacent to every
+vertex of its neighbourhood, so the maximal cliques there are exactly the
+maximal cliques of the whole graph that contain c_0.  None of this is taken on
+faith: the n <= 3 brute-force oracle pins the clique identification in the
+test suite, the full graph over all idempotents stays as the oracle for the
+sink-0 search and the conjugation, and every emitted clique is re-verified
+axiom by axiom on a second route that never reads the graph — naive
+composition of the vertices' image tables, memoised per pair of vertex
+indices.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
 excluded sets held as bit vectors indexed by vertex index.  Every enumerating
@@ -44,10 +46,9 @@ from .semilattice import (
 from .transform import (
     Transformation,
     check_points,
-    commutes_with_idempotent,
+    commuting_masks,
     constant,
     enumerate_idempotents,
-    orbit_decomposition,
     points,
 )
 
@@ -89,9 +90,9 @@ class CommutingGraph:
                 raise ValueError(f"vertex {i} is adjacent to itself")
             if row >> v:
                 raise ValueError(f"row {i} mentions vertices beyond the list")
-            for j in points(row >> i):
-                if not (self.rows[i + j] >> i) & 1:
-                    raise ValueError(f"adjacency not symmetric at {i}, {i + j}")
+            for j in points(row):
+                if not (self.rows[j] >> i) & 1:
+                    raise ValueError(f"adjacency not symmetric at {i}, {j}")
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
@@ -101,18 +102,14 @@ def build_commuting_graph(
     n: int, vertices: tuple[Transformation, ...]
 ) -> CommutingGraph:
     """Edges between distinct commuting idempotents among ``vertices``, kept
-    in the given order, decided by the block test on each vertex's
-    :func:`orbit_decomposition`."""
-    decs = [orbit_decomposition(e) for e in vertices]
-    v = len(vertices)
-    rows = [0] * v
-    for i in range(v):
-        dec = decs[i]
-        for j in range(i + 1, v):
-            if commutes_with_idempotent(dec, vertices[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return CommutingGraph(n, vertices, tuple(rows))
+    in the given order: the block test :func:`commuting_masks` of every
+    vertex against every vertex, with each vertex's own bit cleared.  Each
+    row is computed on its own, so the graph's symmetry check re-tests the
+    block test."""
+    masks = commuting_masks(n, vertices, vertices)
+    return CommutingGraph(
+        n, vertices, tuple(m & ~(1 << i) for i, m in enumerate(masks))
+    )
 
 
 def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:

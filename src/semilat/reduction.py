@@ -58,6 +58,8 @@ def find_anchor(s: Semilattice) -> Anchor:
     if s.n < 2:
         raise ValueError("anchors need at least two points")
     for t in range(s.n):
+        if not _is_anchor(s, t, t):  # some element moves t
+            continue
         for u in range(s.n):
             if u != t and _is_anchor(s, t, u):
                 return Anchor(t, u)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_POINTS = 16  # masks must stay comfortably inside a machine word
 MAX_IDEMPOTENT_POINTS = 8  # T(8) has 41 393 idempotents, T(9) 293 608
@@ -85,71 +85,48 @@ def is_idempotent(a: Transformation) -> bool:
     return all(imgs[y] == y for y in imgs)
 
 
-@dataclass(frozen=True, eq=False)
-class IdempotentDecomposition:
-    """Block form of an idempotent: ``blocks`` maps each fixed point to its block.
-
-    Every point of the block ``blocks[x]``, a mask, maps to the fixed point x;
-    the keys are exactly the image (= fixed points) of the idempotent, and the
-    blocks partition the ground set.
-    """
-
-    n: int
-    blocks: dict[int, int]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("decomposition needs at least one block")
-        covered = 0
-        for rep, mask in self.blocks.items():
-            if not (mask >> rep) & 1:
-                raise ValueError(f"representative {rep} not inside its block")
-            if covered & mask:
-                raise ValueError("blocks overlap")
-            covered |= mask
-        if covered != (1 << self.n) - 1:
-            raise ValueError("blocks do not partition the ground set")
-
-
-def orbit_decomposition(e: Transformation) -> IdempotentDecomposition:
-    """Decompose an idempotent into the map from each fixed point to the mask
-    of the points it receives, built in one pass over the image table."""
-    if not is_idempotent(e):
-        raise ValueError(f"not idempotent: {e.word()}")
-    blocks: dict[int, int] = {}
-    for x, y in enumerate(e.images):
-        blocks[y] = blocks.get(y, 0) | (1 << x)
-    return IdempotentDecomposition(e.n, blocks)
-
-
 def commutes(a: Transformation, b: Transformation) -> bool:
     """Naive commuting test: compare both products."""
     return compose(a, b) == compose(b, a)
 
 
-def commutes_with_idempotent(e: IdempotentDecomposition, a: Transformation) -> bool:
-    """Block-wise commuting test against an idempotent.
+def commuting_masks(
+    n: int, idempotents: Sequence[Transformation], maps: Sequence[Transformation]
+) -> tuple[int, ...]:
+    """Block-wise commuting test of many maps against many idempotents: bit j
+    of entry i is set iff ``maps[j]`` commutes with ``idempotents[i]``.
 
-    ``a`` commutes with the idempotent iff, for each fixed point x with block
-    ``A_x = e.blocks[x]``, ``x a`` is a fixed point too and ``A_x a ⊆ A_(x a)``.
-    Reads ``e.blocks`` only, never a product, so it stays a separate route
-    from :func:`commutes`, with which it agrees on all inputs.
+    An idempotent's image table is its block map: e(p) is the fixed point
+    whose block holds p.  A map a commutes with e iff, at every point p, it
+    sends p into the block of the fixed point a(e(p)), that is
+    e(a(p)) = a(e(p)).  ``at[p][v]``, the mask of the maps that send p to v,
+    is built once, so each (e, p) costs one union over v of
+    ``at[p][v] & at[e(p)][e(v)]``.  Reads image tables only, never a
+    product, so it stays a separate route from :func:`commutes`, with which
+    it agrees on all inputs.
     """
-    if e.n != a.n:
-        raise ValueError(f"ground-set mismatch: {e.n} vs {a.n}")
-    imgs = a.images
-    blocks = e.blocks
-    for rep, mask in blocks.items():
-        target = blocks.get(imgs[rep])
-        if target is None:
-            return False
-        m = mask
-        while m:
-            lsb = m & -m
-            if not (target >> imgs[lsb.bit_length() - 1]) & 1:
-                return False
-            m ^= lsb
-    return True
+    at = [[0] * n for _ in range(n)]
+    for j, a in enumerate(maps):
+        if a.n != n:
+            raise ValueError(f"ground-set mismatch: {a.n} vs {n}")
+        for p, v in enumerate(a.images):
+            at[p][v] |= 1 << j
+    out = []
+    for e in idempotents:
+        if e.n != n:
+            raise ValueError(f"ground-set mismatch: {e.n} vs {n}")
+        if not is_idempotent(e):
+            raise ValueError(f"not idempotent: {e.word()}")
+        imgs = e.images
+        passing = (1 << len(maps)) - 1
+        for p, q in enumerate(imgs):
+            at_p, at_q = at[p], at[q]
+            into = 0
+            for v in range(n):
+                into |= at_p[v] & at_q[imgs[v]]
+            passing &= into
+        out.append(passing)
+    return tuple(out)
 
 
 def enumerate_idempotents(

@@ -83,24 +83,28 @@ def test_criterion_05_commuting_criterion():
     idems3 = sl.enumerate_idempotents(3)
     from itertools import product
 
+    maps3 = [sl.Transformation(3, images) for images in product(range(3), repeat=3)]
     pairs = 0
-    for e in idems3:
-        dec = sl.orbit_decomposition(e)
-        for images in product(range(3), repeat=3):
-            a = sl.Transformation(3, images)
-            if sl.commutes_with_idempotent(dec, a) != sl.commutes(e, a):
+    for e, mask in zip(idems3, sl.commuting_masks(3, idems3, maps3)):
+        for j, a in enumerate(maps3):
+            if (mask >> j) & 1 != sl.commutes(e, a):
                 disagreements += 1
             pairs += 1
     assert pairs == 10 * 27
 
     rng = random.Random(20260810)
     idems5 = sl.enumerate_idempotents(5)
-    decs5 = [sl.orbit_decomposition(e) for e in idems5]
+    drawn = [[] for _ in idems5]  # the random maps drawn for each idempotent
     for _ in range(100_000):
         i = rng.randrange(len(idems5))
-        a = sl.Transformation(5, tuple(rng.randrange(5) for _ in range(5)))
-        if sl.commutes_with_idempotent(decs5[i], a) != sl.commutes(idems5[i], a):
-            disagreements += 1
+        drawn[i].append(sl.Transformation(5, tuple(rng.randrange(5) for _ in range(5))))
+    for e, maps in zip(idems5, drawn):
+        (mask,) = sl.commuting_masks(5, (e,), maps)
+        for j, a in enumerate(maps):
+            if (mask >> j) & 1 != sl.commutes(e, a):
+                disagreements += 1
+        pairs += len(maps)
+    assert pairs == 270 + 100_000
     assert disagreements == 0
     _ok(5, "block test agrees with naive products: 270 exhaustive + 100000 random")
 

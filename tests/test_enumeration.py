@@ -25,7 +25,7 @@ def test_graph_n2():
 
 
 def test_graph_matches_naive_commuting_exhaustively():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         g = sl.build_commuting_graph(n, sl.enumerate_idempotents(n))
         assert g.vertices == sl.enumerate_idempotents(n)
         v = len(g.vertices)
@@ -40,10 +40,40 @@ def test_graph_matches_naive_commuting_exhaustively():
 
 def test_graph_validation_rejects_bad_rows():
     verts = sl.enumerate_idempotents(2)
-    with pytest.raises(ValueError):
-        sl.CommutingGraph(2, verts, (0b010, 0b100, 0b010))  # asymmetric
-    with pytest.raises(ValueError):
-        sl.CommutingGraph(2, verts, (0b011, 0b101, 0b010))  # self-loop
+    for rows, message in [
+        ((0b010, 0b100, 0b010), "adjacency not symmetric at 0, 1"),
+        ((0b000, 0b001, 0b000), "adjacency not symmetric at 1, 0"),
+        ((0b011, 0b101, 0b010), "vertex 0 is adjacent to itself"),
+        ((0b010, 0b101), "adjacency rows do not match the vertex list"),
+        ((0b010, 0b101, 0b010, 0b000), "adjacency rows do not match"),
+        ((0b010, 0b101, 0b1010), "row 2 mentions vertices beyond the list"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            sl.CommutingGraph(2, verts, rows)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+def test_graph_build_rejects_an_asymmetric_block_test(monkeypatch, i, j):
+    # a block test that loses one bit of one row, above or below the diagonal
+    real = enumeration.commuting_masks
+
+    def lose_a_bit(n, idempotents, maps):
+        masks = list(real(n, idempotents, maps))
+        masks[i] &= ~(1 << j)
+        return tuple(masks)
+
+    monkeypatch.setattr(enumeration, "commuting_masks", lose_a_bit)
+    verts = sl.enumerate_idempotents(4, (sl.constant(4, 0),))
+    assert sl.commutes(verts[i], verts[j])
+    with pytest.raises(ValueError, match="adjacency not symmetric"):
+        sl.build_commuting_graph(4, verts)
+
+
+def test_search_rejects_a_non_maximal_clique(monkeypatch):
+    # {c_0} alone: every other sink-0 vertex is a common neighbour
+    monkeypatch.setattr(enumeration, "_maximal_clique_bitsets", lambda rows: [1])
+    with pytest.raises(RuntimeError, match="search emitted a non-maximal clique"):
+        enumeration._sink_zero_families(4, None)
 
 
 def test_enumerate_n2_exact():

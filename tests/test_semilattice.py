@@ -307,16 +307,21 @@ def test_is_maximal_agrees_with_brute_force(oracle_by_n):
 
 def _check_witnesses(n, families):
     # the oracle scans all of T(n) in canonical order for the first outside
-    # idempotent that commutes with every member by the block test
+    # idempotent that commutes with every member by the block test read off
+    # the image tables: f sends each point p into the block of the fixed
+    # point (p e) f, the block of p being named by its image p e
     idems = sl.enumerate_idempotents(n)
     for s in families:
-        decs = [sl.orbit_decomposition(e) for e in s.elements]
         first = next(
             (
                 f
                 for f in idems
                 if f not in s.elements
-                and all(sl.commutes_with_idempotent(d, f) for d in decs)
+                and all(
+                    e.images[f.images[p]] == f.images[e.images[p]]
+                    for e in s.elements
+                    for p in range(n)
+                )
             ),
             None,
         )

@@ -74,35 +74,6 @@ def test_is_idempotent_agrees_with_squaring():
             assert sl.is_idempotent(a) == (sl.compose(a, a) == a)
 
 
-def test_orbit_decomposition_examples():
-    assert sl.orbit_decomposition(sl.identity(3)).blocks == {
-        0: 0b001,
-        1: 0b010,
-        2: 0b100,
-    }
-    assert sl.orbit_decomposition(T(3, [0, 0, 2])).blocks == {0: 0b011, 2: 0b100}
-    with pytest.raises(ValueError):
-        sl.orbit_decomposition(T(3, [1, 0, 2]))
-
-
-def test_orbit_decomposition_roundtrip():
-    for n in (1, 2, 3, 4):
-        for e in sl.enumerate_idempotents(n):
-            # the blocks partition the points (the constructor checks), so
-            # this pins every image of e
-            for rep, mask in sl.orbit_decomposition(e).blocks.items():
-                assert all(e.images[x] == rep for x in sl.points(mask))
-
-
-def test_decomposition_validation():
-    with pytest.raises(ValueError):
-        sl.IdempotentDecomposition(2, {0: 0b01, 1: 0b01})  # overlap
-    with pytest.raises(ValueError):
-        sl.IdempotentDecomposition(2, {0: 0b01})  # not a partition
-    with pytest.raises(ValueError):
-        sl.IdempotentDecomposition(2, {1: 0b01, 0: 0b10})  # rep outside block
-
-
 def test_commutes_examples():
     a = T(3, [0, 0, 2])
     assert sl.commutes(sl.identity(3), a)
@@ -110,21 +81,30 @@ def test_commutes_examples():
     assert not sl.commutes(a, T(3, [2, 1, 2]))
 
 
-def test_commutes_with_idempotent_examples():
-    dec = sl.orbit_decomposition(T(3, [0, 0, 2]))
-    assert sl.commutes_with_idempotent(dec, T(3, [2, 2, 2]))
-    assert not sl.commutes_with_idempotent(dec, T(3, [2, 1, 2]))
-    assert sl.commutes_with_idempotent(dec, sl.identity(3))
-    with pytest.raises(ValueError):
-        sl.commutes_with_idempotent(dec, T(2, [0, 0]))
+def test_commuting_masks_examples():
+    e, f = T(3, [0, 0, 2]), sl.identity(3)
+    maps = (T(3, [2, 2, 2]), T(3, [2, 1, 2]), sl.identity(3), T(3, [2, 2, 0]))
+    # 2 2 0 swaps the blocks {0, 1} and {2} of e: it commutes with e but is no
+    # idempotent; 2 1 2 sends the fixed point 0 into the block {2} but 1 into
+    # the block {0, 1}
+    assert sl.commuting_masks(3, (e, f), maps) == (0b1101, 0b1111)
+    assert sl.commuting_masks(3, (e,), ()) == (0,)
+    assert sl.commuting_masks(3, (), maps) == ()
+    with pytest.raises(ValueError, match=r"^not idempotent: 1 0 2$"):
+        sl.commuting_masks(3, (e, T(3, [1, 0, 2])), maps)
+    with pytest.raises(ValueError, match=r"^ground-set mismatch: 2 vs 3$"):
+        sl.commuting_masks(3, (e,), maps + (T(2, [0, 0]),))
+    with pytest.raises(ValueError, match=r"^ground-set mismatch: 2 vs 3$"):
+        sl.commuting_masks(3, (T(2, [0, 0]),), maps)
 
 
 def test_block_test_agrees_with_naive_exhaustively():
     for n in (1, 2, 3, 4):
-        for e in sl.enumerate_idempotents(n):
-            dec = sl.orbit_decomposition(e)
-            for a in all_maps(n):
-                assert sl.commutes_with_idempotent(dec, a) == sl.commutes(e, a)
+        idems, maps = sl.enumerate_idempotents(n), tuple(all_maps(n))
+        masks = sl.commuting_masks(n, idems, maps)
+        for e, mask in zip(idems, masks):
+            for j, a in enumerate(maps):
+                assert (mask >> j) & 1 == sl.commutes(e, a)
 
 
 @settings(max_examples=300)
@@ -133,8 +113,7 @@ def test_block_test_agrees_with_naive_randomized(data):
     n = data.draw(st.sampled_from([4, 5]))
     e = data.draw(st.sampled_from(IDEMS4 if n == 4 else IDEMS5))
     a = sl.Transformation(n, data.draw(st.tuples(*[st.integers(0, n - 1)] * n)))
-    dec = sl.orbit_decomposition(e)
-    assert sl.commutes_with_idempotent(dec, a) == sl.commutes(e, a)
+    assert sl.commuting_masks(n, (e,), (a,)) == (int(sl.commutes(e, a)),)
 
 
 def _commuting_idempotent_pairs(n):
@@ -150,7 +129,10 @@ def test_commuting_pair_fixes_crossed_representatives():
     # image point x of e, that x must be fixed by f.
     for n in (2, 3):
         for e, f in _commuting_idempotent_pairs(n):
-            by_rep = sl.orbit_decomposition(e).blocks
+            # e sends each point p to the fixed point of p's block
+            by_rep = {}
+            for p, x in enumerate(e.images):
+                by_rep[x] = by_rep.get(x, 0) | 1 << p
             for x, cls in by_rep.items():
                 for y in range(n):
                     if (cls >> f.images[y]) & 1:
