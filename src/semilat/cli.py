@@ -12,8 +12,10 @@ checks every argument (n, t, m, the cap, input files), and returns its exit
 status and its output, writing nothing.  :func:`main` is the one place that
 writes command output: it renders a JSON object with ``formats.dumps`` and
 only then opens ``--out`` (or takes stdout), so a failed command leaves no
-file.  The CLI checks no argument itself; :func:`main` maps the library's
-``ValueError`` or ``OSError`` to exit status 2.
+file.  The CLI checks one argument itself, before any handler runs:
+``--annotate`` needs ``--format json``, the only format that carries the
+annotations.  :func:`main` maps that ``ValueError``, and the library's
+``ValueError`` or ``OSError``, to exit status 2.
 Exit status 0 on success or PASS, 1 on a verification FAIL, 2 on usage or
 input errors.  Enumerating subcommands take ``--cap`` to lift the default
 enumeration cap, up to the library's hard maximum.
@@ -253,6 +255,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "annotate", False) and args.format != "json":
+            raise ValueError("--annotate needs --format json")
         code, output = _COMMANDS[args.command][0](args)
         text = output if isinstance(output, str) else formats.dumps(output)
         if args.output_path in (None, "-"):

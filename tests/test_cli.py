@@ -545,6 +545,23 @@ def test_failed_command_leaves_no_out_file(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "et --n 3 --t 0 --annotate",
+        "make-size --n 3 --t 0 --m 2 --annotate",
+        "et --n 3 --t 0 --annotate --format text",
+        "et --n 40 --t 99 --annotate",  # checked before the library's n and t
+    ],
+)
+def test_annotate_without_json_exits_2(tmp_path, capsys, argv):
+    err = "error: --annotate needs --format json\n"
+    assert run(capsys, *argv.split()) == (2, "", err)
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv.split(), "--out", str(path)) == (2, "", err)
+    assert not path.exists()
+
+
 def test_parse_error_names_a_non_integer_word(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n0 x 0\n"))
     assert run(capsys, "verify", "--in", "-") == (

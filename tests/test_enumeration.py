@@ -1,6 +1,7 @@
 """The commuting graph, clique search, and the brute-force oracle."""
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -308,13 +309,22 @@ def test_extremal_clauses_fail_without_a_collapse_family(maximal_by_n):
     assert _clause_names(failed) == ["count", "set-equality"]
 
 
+def _sink_zero_bits(n, semis):
+    """The sink-0 families ``semis`` as bit vectors over the search's vertices."""
+    vertices = sl.enumerate_idempotents(n, (sl.constant(n, 0),))
+    index = {e: i for i, e in enumerate(vertices)}
+    return [sum(1 << index[e] for e in s) for s in semis]
+
+
 def test_spectrum_names_the_failed_clauses(monkeypatch):
     # a sink-0 search that misses the collapse family
-    missing = sl.collapse_semilattice(4, 0)
-    semis = tuple(
-        s for s in enumeration._sink_zero_families(4, None) if s != missing
-    )
-    monkeypatch.setattr(enumeration, "_sink_zero_families", lambda n, cap: semis)
+    (missing,) = _sink_zero_bits(4, [sl.collapse_semilattice(4, 0)])
+    real = enumeration._orbit_cliques
+
+    def miss(rows, base, orbits):
+        return ((c, o) for c, o in real(rows, base, orbits) if c != missing)
+
+    monkeypatch.setattr(enumeration, "_orbit_cliques", miss)
     message = (
         r"T\(4\) contradict the theorem: max-size: 6 == 2\^\(n-1\) = 8; "
         r"count: 24 maximum-size semilattices, expected n = 4; set-equality: "
@@ -345,6 +355,132 @@ def test_spectrum_witnesses_are_verified_and_maximal():
         assert len(entry.witness) == entry.size
         assert sl.verify_semilattice(3, entry.witness.elements) == entry.witness
         assert sl.is_maximal(entry.witness).is_maximal
+
+
+# The found-clique counts of the orbit search under its fixed orbit order:
+# one to a few cliques per orbit of families, against 1, 1, 3, 19, 213 and
+# 3761 sink-0 families.
+ORBIT_CLIQUES = {1: 1, 2: 1, 3: 2, 4: 5, 5: 20, 6: 101}
+
+
+@pytest.fixture(scope="module")
+def sink_zero_by_n():
+    return {
+        n: enumeration._sink_zero_families(n, enumeration.HARD_CAP)
+        for n in range(1, 7)
+    }
+
+
+def _least_by_size(semis):
+    least = {}
+    for s in semis:
+        if len(s) not in least or s.key() < least[len(s)].key():
+            least[len(s)] = s
+    return least
+
+
+def _orbit_results(n):
+    """The orbit search's counts, witnesses and largest families."""
+    search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
+    witnesses = {size: search.least(size) for size in search.counts}
+    return search, witnesses, set(search.largest())
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_CLIQUES))
+def test_orbit_search_equals_the_direct_sink_zero_search(sink_zero_by_n, n):
+    direct = sink_zero_by_n[n]
+    search, witnesses, largest = _orbit_results(n)
+    assert search.counts == Counter(len(s) for s in direct)
+    assert witnesses == _least_by_size(direct)
+    top = max(len(s) for s in direct)
+    assert largest == {s for s in direct if len(s) == top}
+    assert len(search.cliques) == ORBIT_CLIQUES[n]
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_orbit_search_does_not_depend_on_the_orbit_order(monkeypatch, n, order):
+    search, witnesses, largest = _orbit_results(n)
+    real = enumeration._vertex_orbits
+
+    def reorder(moves, free):
+        orbits = real(moves, free)
+        if order == "reversed":
+            return orbits[::-1]
+        random.Random(n).shuffle(orbits)
+        return orbits
+
+    monkeypatch.setattr(enumeration, "_vertex_orbits", reorder)
+    other, other_witnesses, other_largest = _orbit_results(n)
+    assert other.counts == search.counts
+    assert other_witnesses == witnesses
+    assert other_largest == largest
+
+
+def test_orbit_search_checks_every_clique_is_maximal(monkeypatch):
+    # the universal pair {c_0, identity} alone, credited to the first orbit
+    monkeypatch.setattr(
+        enumeration, "_orbit_cliques", lambda rows, base, orbits: [(base, orbits[0])]
+    )
+    with pytest.raises(RuntimeError, match="search emitted a non-maximal clique"):
+        enumeration._sink_zero_orbits(4, None)
+
+
+def test_orbit_search_rejects_a_count_that_is_not_an_integer(monkeypatch):
+    # one clique found twice, the second time credited to a 3-vertex orbit
+    # of which it holds 2: weight 3/2
+    real = enumeration._orbit_cliques
+
+    def once_more(rows, base, orbits):
+        found = list(real(rows, base, orbits))
+        clique, orbit = next((c, o) for c, o in found if (c & o).bit_count() == 2)
+        outside = orbit & ~clique
+        return found + [(clique, clique & orbit | outside & -outside)]
+
+    monkeypatch.setattr(enumeration, "_orbit_cliques", once_more)
+    message = r"size 4 at n=4 is \d+/\d+, not an integer"
+    with pytest.raises(RuntimeError, match=message):
+        enumeration._sink_zero_orbits(4, None)
+
+
+def test_spectrum_verifies_every_clique_it_reports(monkeypatch):
+    # the found cliques, each witness and each largest family all go
+    # through the naive-composition verifier
+    verified = set()
+    real = enumeration._CliqueVerifier.semilattice
+
+    def record(self, clique):
+        verified.add(clique)
+        return real(self, clique)
+
+    monkeypatch.setattr(enumeration._CliqueVerifier, "semilattice", record)
+    report = sl.spectrum(5)
+    found = enumeration._sink_zero_orbits(5, None).cliques
+    reported = [e.witness for e in report.entries] + [
+        s for s in sl.max_size_semilattices(5) if sl.constant(5, 0) in s
+    ]
+    assert set(found) | set(_sink_zero_bits(5, reported)) <= verified
+
+
+# The n = 7 line of the spectrum, as size:count over all maximal
+# subsemilattices: exploratory, frozen, never corrected.
+N7_COUNTS = {
+    6: 7560, 7: 161742, 8: 77700, 9: 75600, 10: 65520, 11: 43680, 12: 69930,
+    13: 17640, 14: 34020, 15: 23520, 16: 30870, 17: 3780, 18: 18690, 19: 3360,
+    20: 17640, 21: 6300, 22: 2520, 24: 11340, 25: 1470, 26: 2520, 27: 1680,
+    28: 2520, 30: 2520, 32: 1260, 33: 42, 34: 210, 36: 1680, 40: 420, 48: 210,
+    64: 7,
+}
+
+
+@pytest.mark.slow
+def test_optional_n7_orbit_search_equals_the_direct_search(monkeypatch):
+    monkeypatch.setattr(enumeration, "HARD_CAP", 7)
+    counts = enumeration._sink_zero_orbits(7, 7).counts
+    assert {size: 7 * count for size, count in counts.items()} == N7_COUNTS
+    assert sum(N7_COUNTS.values()) == 685951
+    direct = enumeration._sink_zero_families(7, 7)
+    assert counts == Counter(len(s) for s in direct)
 
 
 def test_enumeration_cap():
