@@ -2,7 +2,8 @@
 
 Construction and verification of subsemilattices of T(n), the extremal
 collapse families, the n -> n-1 reduction, and exhaustive enumeration of all
-maximal subsemilattices for small n.
+maximal subsemilattices for small n, by one clique search up to relabelling
+the points.  The slower oracles it is checked against live with the tests.
 """
 
 from .transform import (
@@ -49,12 +50,10 @@ from .reduction import (
 from .enumeration import (
     DEFAULT_CAP,
     HARD_CAP,
-    ORACLE_CAP,
     CapExceeded,
     CommutingGraph,
     SpectrumEntry,
     SpectrumReport,
-    brute_force_subsemilattices,
     build_commuting_graph,
     enumerate_maximal_semilattices,
     extremal_clauses,

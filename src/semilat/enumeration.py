@@ -17,22 +17,22 @@ automatically product-closed, and a clique strictly containing a
 subsemilattice generates a strictly larger one.  c_0 is adjacent to every
 vertex of its neighbourhood, so the maximal cliques there are exactly the
 maximal cliques of the whole graph that contain c_0.  None of this is taken on
-faith: the n <= 3 brute-force oracle pins the clique identification in the
-test suite, the full graph over all idempotents stays as the oracle for the
-sink-0 search and the conjugation, and every emitted clique is re-verified
-axiom by axiom on a second route that never reads the graph — naive
-composition of the vertices' image tables, memoised per pair of vertex
-indices.
+faith: every emitted clique is re-verified axiom by axiom on a second route
+that never reads the graph — naive composition of the vertices' image tables,
+memoised per pair of vertex indices — and the test suite keeps the oracles:
+a brute-force subset filter at n <= 3 pins the clique identification, a
+direct search over every sink-0 clique checks this one, and the full graph
+over all idempotents checks the sink-0 reduction and the conjugation.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
-excluded sets held as bit vectors indexed by vertex index, in two searches.
-:func:`_sink_zero_families` lists every sink-0 family: the listing runs it,
-and the tests take it as the oracle for the other.  :func:`_sink_zero_orbits`
-counts the sink-0 families up to relabelling the points other than 0, which
-permutes them: one search per orbit of vertices, each found clique weighted
-by the share of that orbit it holds.  The spectrum and the largest families
-run it; it finds 101 cliques at n = 6 where the listing finds 3761.  Both
-check the cap before any work.
+excluded sets held as bit vectors indexed by vertex index, in one search,
+:func:`_sink_zero_orbits`.  It works up to relabelling the points other than
+0, which permutes the sink-0 families: one search per orbit of vertices,
+each found clique weighted by the share of that orbit it holds.  The
+spectrum reads the weighted counts; the listing and the largest families
+expand the found cliques under the relabellings.  It finds 101 cliques at
+n = 6, which expand to the 3761 sink-0 families, and checks the cap before
+any work.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from operator import itemgetter
 from .semilattice import (
     Semilattice,
     collapse_semilattice,
-    find_violation,
     is_boolean_lattice,
     verify_semilattice,
 )
@@ -61,7 +60,6 @@ from .transform import (
 
 DEFAULT_CAP = 5
 HARD_CAP = 6
-ORACLE_CAP = 3
 
 
 class CapExceeded(ValueError):
@@ -147,12 +145,6 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:
         x |= lsb
 
 
-def _maximal_clique_bitsets(rows: tuple[int, ...]) -> list[int]:
-    out: list[int] = []
-    _bron_kerbosch(rows, 0, (1 << len(rows)) - 1, 0, out)
-    return out
-
-
 def _semilattice_sort_key(s: Semilattice):
     return (-len(s.elements), s.key())
 
@@ -227,26 +219,6 @@ class _CliqueVerifier:
             f"the index verifier and verify_semilattice disagree at n={self.n} "
             f"on the clique {[m.word() for m in members]}"
         )
-
-
-def _sink_zero_families(n: int, cap: int | None) -> tuple[Semilattice, ...]:
-    """The maximal subsemilattices of T(n) that contain the constant c_0,
-    verified, in search order.  Raises CapExceeded above the cap."""
-    _check_cap(n, cap)
-    verts = enumerate_idempotents(n, (constant(n, 0),))  # the idempotents fixing 0
-    graph = build_commuting_graph(n, verts)
-    rows = graph.rows
-    verifier = _CliqueVerifier(n, graph.vertices)
-    semis = []
-    full = (1 << len(rows)) - 1
-    for clique in _maximal_clique_bitsets(rows):
-        common = full
-        for i in points(clique):
-            common &= rows[i]
-        if common:
-            raise RuntimeError("search emitted a non-maximal clique")
-        semis.append(verifier.semilattice(clique))
-    return tuple(semis)
 
 
 def _relabellings(
@@ -340,14 +312,14 @@ class _SinkZeroOrbits:
                         best = image
         return self.verifier.semilattice(best)
 
-    def largest(self) -> tuple[Semilattice, ...]:
-        """Every sink-0 family of the largest size: the largest found cliques
-        and their images under G."""
-        top = max(self.counts)
+    def families(self, size: int | None = None) -> tuple[Semilattice, ...]:
+        """Every sink-0 family, or every one of ``size`` elements: the found
+        cliques and their images under G, each verified, in bit-vector
+        order."""
         found = {
             image
             for clique in self.cliques
-            if clique.bit_count() == top
+            if size is None or clique.bit_count() == size
             for image in self._images(clique)
         }
         return tuple(self.verifier.semilattice(c) for c in sorted(found))
@@ -440,11 +412,13 @@ def _with_conjugates(
 def enumerate_maximal_semilattices(
     n: int, cap: int | None = None
 ) -> tuple[Semilattice, ...]:
-    """Every maximal subsemilattice of T(n), verified and canonically ordered.
+    """Every maximal subsemilattice of T(n), verified and canonically ordered:
+    the sink-0 families, the cliques of the search up to relabelling
+    expanded under the permutations that fix 0, and their conjugates.
 
     Output is sorted by size descending, then lexicographically on the carrier.
     """
-    return _with_conjugates(n, _sink_zero_families(n, cap))
+    return _with_conjugates(n, _sink_zero_orbits(n, cap).families())
 
 
 def _largest(semis: tuple[Semilattice, ...]) -> tuple[Semilattice, ...]:
@@ -457,7 +431,8 @@ def max_size_semilattices(n: int, cap: int | None = None) -> tuple[Semilattice, 
     ordered: the largest sink-0 families and their conjugates.  The sink-0
     families are the largest cliques of the search up to relabelling,
     expanded under the permutations that fix 0, each verified."""
-    return _with_conjugates(n, _sink_zero_orbits(n, cap).largest())
+    search = _sink_zero_orbits(n, cap)
+    return _with_conjugates(n, search.families(max(search.counts)))
 
 
 def extremal_clauses(
@@ -536,7 +511,7 @@ def spectrum(n: int, cap: int | None = None) -> SpectrumReport:
     sink-0 families contradict the extremal theorem.
     """
     search = _sink_zero_orbits(n, cap)
-    winners = _with_conjugates(n, search.largest())
+    winners = _with_conjugates(n, search.families(max(search.counts)))
     failed = [statement for holds, statement in extremal_clauses(n, winners) if not holds]
     if failed:
         raise RuntimeError(
@@ -550,24 +525,3 @@ def spectrum(n: int, cap: int | None = None) -> SpectrumReport:
     return SpectrumReport(
         n, entries, n * sum(search.counts.values()), len(winners[0])
     )
-
-
-def brute_force_subsemilattices(n: int) -> tuple[Semilattice, ...]:
-    """ALL subsemilattices of T(n) by filtering every nonempty idempotent
-    subset, n <= 3 only.
-
-    This is the independent oracle: it relies on nothing but the naive
-    axiom check, and anchors the clique identification, the maximality
-    test, and the small-n size spectra.
-    """
-    if n > ORACLE_CAP:
-        raise ValueError(f"brute-force oracle is capped at n={ORACLE_CAP}")
-    idems = enumerate_idempotents(n)
-    v = len(idems)
-    found = []
-    for mask in range(1, 1 << v):
-        members = [idems[i] for i in points(mask)]
-        if find_violation(n, members) is None:
-            found.append(Semilattice(n, tuple(members)))
-    found.sort(key=_semilattice_sort_key)
-    return tuple(found)

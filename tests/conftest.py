@@ -1,13 +1,14 @@
 import pytest
 
 import semilat as sl
+from oracles import brute_force_subsemilattices
 
 
 @pytest.fixture(scope="session")
 def oracle_by_n():
     """All subsemilattices of T(n) for n <= 3, straight from the brute-force
     subset filter."""
-    return {n: sl.brute_force_subsemilattices(n) for n in (1, 2, 3)}
+    return {n: brute_force_subsemilattices(n) for n in (1, 2, 3)}
 
 
 @pytest.fixture(scope="session")

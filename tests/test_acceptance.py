@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import semilat as sl
+from oracles import brute_force_subsemilattices
 from semilat import formats
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -29,7 +30,7 @@ def all_maximal():
 
 @pytest.fixture(scope="module")
 def all_oracle():
-    return {n: sl.brute_force_subsemilattices(n) for n in (1, 2, 3)}
+    return {n: brute_force_subsemilattices(n) for n in (1, 2, 3)}
 
 
 def test_criterion_01_maximum_cardinality():

@@ -1,4 +1,4 @@
-"""The commuting graph, clique search, and the brute-force oracle."""
+"""The commuting graph and the clique search, against the oracles."""
 
 import hashlib
 import random
@@ -7,6 +7,11 @@ from collections import Counter
 import pytest
 
 import semilat as sl
+from oracles import (
+    brute_force_subsemilattices,
+    maximal_clique_bitsets,
+    sink_zero_families,
+)
 from semilat import cli, enumeration, formats
 from semilat.transform import points
 
@@ -68,13 +73,6 @@ def test_graph_build_rejects_an_asymmetric_block_test(monkeypatch, i, j):
     assert sl.commutes(verts[i], verts[j])
     with pytest.raises(ValueError, match="adjacency not symmetric"):
         sl.build_commuting_graph(4, verts)
-
-
-def test_search_rejects_a_non_maximal_clique(monkeypatch):
-    # {c_0} alone: every other sink-0 vertex is a common neighbour
-    monkeypatch.setattr(enumeration, "_maximal_clique_bitsets", lambda rows: [1])
-    with pytest.raises(RuntimeError, match="search emitted a non-maximal clique"):
-        enumeration._sink_zero_families(4, None)
 
 
 def test_enumerate_n2_exact():
@@ -171,8 +169,9 @@ def test_search_builds_only_the_sink_zero_graph(monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(enumeration, "build_commuting_graph", record)
-    sink_zero = enumeration._sink_zero_families(4, None)
+    semis = sl.enumerate_maximal_semilattices(4)
     (graph,) = graphs
+    sink_zero = [s for s in semis if sl.constant(4, 0) in s]
     assert graph.vertices == tuple(
         e for e in sl.enumerate_idempotents(4) if e.images[0] == 0
     )
@@ -203,7 +202,7 @@ def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
 
     monkeypatch.setattr(enumeration, "build_commuting_graph", record_graph)
     monkeypatch.setattr(enumeration._CliqueVerifier, "_product", record_pair)
-    enumeration._sink_zero_families(n, enumeration.HARD_CAP)
+    sl.enumerate_maximal_semilattices(n, cap=enumeration.HARD_CAP)
     (graph,) = graphs
     # the search's vertices, c_0's centralizer, are the idempotents fixing 0
     assert graph.vertices == tuple(
@@ -242,8 +241,8 @@ def test_maximal_cliques_equal_brute_force_maximal_semilattices(
 
 
 def test_brute_force_counts():
-    assert len(sl.brute_force_subsemilattices(1)) == 1
-    two = sl.brute_force_subsemilattices(2)
+    assert len(brute_force_subsemilattices(1)) == 1
+    two = brute_force_subsemilattices(2)
     assert {frozenset(e.images for e in s) for s in two} == {
         frozenset({(0, 1)}),
         frozenset({(0, 0)}),
@@ -252,7 +251,7 @@ def test_brute_force_counts():
         frozenset({(0, 1), (1, 1)}),
     }
     with pytest.raises(ValueError):
-        sl.brute_force_subsemilattices(4)
+        brute_force_subsemilattices(4)
 
 
 def test_max_size_semilattices(full_graph_by_n):
@@ -365,10 +364,7 @@ ORBIT_CLIQUES = {1: 1, 2: 1, 3: 2, 4: 5, 5: 20, 6: 101}
 
 @pytest.fixture(scope="module")
 def sink_zero_by_n():
-    return {
-        n: enumeration._sink_zero_families(n, enumeration.HARD_CAP)
-        for n in range(1, 7)
-    }
+    return {n: sink_zero_families(n, enumeration.HARD_CAP) for n in range(1, 7)}
 
 
 def _least_by_size(semis):
@@ -383,7 +379,7 @@ def _orbit_results(n):
     """The orbit search's counts, witnesses and largest families."""
     search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
     witnesses = {size: search.least(size) for size in search.counts}
-    return search, witnesses, set(search.largest())
+    return search, witnesses, set(search.families(max(search.counts)))
 
 
 @pytest.mark.parametrize("n", sorted(ORBIT_CLIQUES))
@@ -397,9 +393,16 @@ def test_orbit_search_equals_the_direct_sink_zero_search(sink_zero_by_n, n):
     assert len(search.cliques) == ORBIT_CLIQUES[n]
 
 
+@pytest.fixture(scope="module")
+def listing_by_n():
+    return {n: sl.enumerate_maximal_semilattices(n, cap=6) for n in (4, 5, 6)}
+
+
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_orbit_search_does_not_depend_on_the_orbit_order(monkeypatch, n, order):
+def test_orbit_search_does_not_depend_on_the_orbit_order(
+    monkeypatch, listing_by_n, n, order
+):
     search, witnesses, largest = _orbit_results(n)
     real = enumeration._vertex_orbits
 
@@ -415,6 +418,8 @@ def test_orbit_search_does_not_depend_on_the_orbit_order(monkeypatch, n, order):
     assert other.counts == search.counts
     assert other_witnesses == witnesses
     assert other_largest == largest
+    # the listing expands other cliques, and lists the same families
+    assert sl.enumerate_maximal_semilattices(n, cap=6) == listing_by_n[n]
 
 
 def test_orbit_search_checks_every_clique_is_maximal(monkeypatch):
@@ -476,11 +481,16 @@ N7_COUNTS = {
 @pytest.mark.slow
 def test_optional_n7_orbit_search_equals_the_direct_search(monkeypatch):
     monkeypatch.setattr(enumeration, "HARD_CAP", 7)
-    counts = enumeration._sink_zero_orbits(7, 7).counts
+    search = enumeration._sink_zero_orbits(7, 7)
+    counts = search.counts
     assert {size: 7 * count for size, count in counts.items()} == N7_COUNTS
     assert sum(N7_COUNTS.values()) == 685951
-    direct = enumeration._sink_zero_families(7, 7)
+    direct = sink_zero_families(7, 7)
     assert counts == Counter(len(s) for s in direct)
+    # the listing's expansion, checked before any cap lets it reach n = 7
+    expanded = search.families()
+    assert len(expanded) == len(direct) == 97993
+    assert set(expanded) == set(direct)
 
 
 def test_enumeration_cap():
@@ -521,7 +531,7 @@ def test_enumeration_is_deterministic():
 
 def _cliques_and_verifier(n):
     graph = sl.build_commuting_graph(n, sl.enumerate_idempotents(n))
-    cliques = enumeration._maximal_clique_bitsets(graph.rows)
+    cliques = maximal_clique_bitsets(graph.rows)
     return cliques, enumeration._CliqueVerifier(n, graph.vertices)
 
 
