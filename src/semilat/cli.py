@@ -10,12 +10,14 @@ binds no stream: usage and help go to whatever ``sys.stderr`` and
 Each handler takes the parsed argparse namespace, calls the library, which
 checks every argument (n, t, m, the cap, input files), and returns its exit
 status and its output, writing nothing.  :func:`main` is the one place that
-writes command output: it renders a JSON object with ``formats.dumps`` and
-only then opens ``--out`` (or takes stdout), so a failed command leaves no
-file.  The CLI checks one argument itself, before any handler runs:
-``--annotate`` needs ``--format json``, the only format that carries the
-annotations.  :func:`main` maps that ``ValueError``, and the library's
-``ValueError`` or ``OSError``, to exit status 2.
+writes command output: it renders a JSON object with ``formats.dumps``
+(the enumerate listing's JSON comes back as text, rendered by
+``formats.listing_to_json``) and only then opens ``--out`` (or takes
+stdout), so a failed command leaves no file.  The CLI checks one argument
+itself, before any handler runs: ``--annotate`` needs ``--format json``,
+the only format that carries the annotations.  :func:`main` maps that
+``ValueError``, and the library's ``ValueError`` or ``OSError``, to exit
+status 2.
 Exit status 0 on success or PASS, 1 on a verification FAIL, 2 on usage or
 input errors.  Enumerating subcommands take ``--cap`` to lift the default
 enumeration cap, up to the library's hard maximum.
@@ -163,11 +165,7 @@ def _cmd_order(args: argparse.Namespace) -> _Output:
 def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
     if args.format == "json":
-        return 0, {
-            "n": args.n,
-            "count": len(semis),
-            "semilattices": [formats.semilattice_to_dict(s) for s in semis],
-        }
+        return 0, formats.listing_to_json(args.n, semis)
     blocks = [f"n={args.n} count={len(semis)}"]
     for s in semis:
         blocks.append("")

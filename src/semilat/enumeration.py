@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import lcm
 from operator import itemgetter
 
@@ -290,6 +291,7 @@ class _SinkZeroOrbits:
 
     verifier: _CliqueVerifier
     moves: list[tuple[int, ...]]  # from _relabellings
+    base: int  # c_0 and the identity, in every clique and fixed by G
     cliques: tuple[int, ...]
     counts: dict[int, int]
 
@@ -303,13 +305,24 @@ class _SinkZeroOrbits:
 
         Vertices are in image-table order, so of two equal-size bit vectors
         the one holding the lowest bit where they differ has the smaller
-        :meth:`Semilattice.key`."""
+        :meth:`Semilattice.key`.  Every image holds ``base``, which G fixes,
+        so the least one holds m, the least other vertex that some p in G
+        moves a member onto, and only the images under such p are built."""
+        found = [c for c in self.cliques if c.bit_count() == size]
+        low = {  # each moved member's least image under G, as a bit
+            v: min(self.moves[v]) for c in found for v in points(c & ~self.base)
+        }
+        if not low:  # n <= 2: the one clique is base
+            return self.verifier.semilattice(found[0])
+        m = min(low.values())
         best = 0
-        for clique in self.cliques:
-            if clique.bit_count() == size:
-                for image in self._images(clique):
-                    if not best or image & (d := image ^ best) & -d:
-                        best = image
+        for clique in found:
+            lead = [self.moves[v] for v in points(clique & ~self.base) if low[v] == m]
+            onto = list(map(any, zip(*(map(m.__eq__, column) for column in lead))))
+            columns = (compress(self.moves[v], onto) for v in points(clique))
+            for image in map(sum, zip(*columns)):
+                if not best or image & (d := image ^ best) & -d:
+                    best = image
         return self.verifier.semilattice(best)
 
     def families(self, size: int | None = None) -> tuple[Semilattice, ...]:
@@ -372,7 +385,7 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
                 f"at n={n} is {num}/{den}, not an integer"
             )
         counts[size] = count
-    return _SinkZeroOrbits(verifier, moves, tuple(c for c, _ in found), counts)
+    return _SinkZeroOrbits(verifier, moves, base, tuple(c for c, _ in found), counts)
 
 
 def _conjugates(

@@ -4,7 +4,9 @@ Transformations travel as whitespace-separated image words, one per line;
 ``#`` starts a comment.  A semilattice file may carry a leading header line
 ``n=<N> [t=<T>] size=<K>``, with T < N and K the number of distinct maps.
 All JSON is emitted with sorted keys and a fixed layout so identical runs
-are byte-identical.
+are byte-identical: :func:`dumps`, except the enumerate listing, which
+:func:`listing_to_json` writes as text in the same layout, a distinct map's
+block once; the tests pin it byte-equal to :func:`dumps` of the dicts.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .enumeration import SpectrumReport
 from .reduction import ReductionResult
@@ -98,6 +100,39 @@ def semilattice_to_dict(s: Semilattice, annotations: Optional[dict] = None) -> d
     if annotations is not None:
         d["annotations"] = annotations
     return d
+
+
+def listing_to_json(n: int, semis: Sequence[Semilattice]) -> str:
+    """The enumerate listing as JSON: byte for byte :func:`dumps` of
+    ``{"n": n, "count": len(semis), "semilattices": [semilattice_to_dict(s),
+    ...]}``, written as text without building those dicts.  ``semis`` is
+    nonempty, as every listing is.
+
+    A map sits in many families, so each distinct map's indented block is
+    rendered once, keyed by its image table, and the fixed framing of
+    ``dumps`` joins the blocks.
+    """
+    blocks: dict[tuple[int, ...], str] = {}
+    families = []
+    for s in semis:
+        rows = []
+        for e in s.elements:
+            block = blocks.get(e.images)
+            if block is None:
+                entries = ",\n          ".join(map(str, e.images))
+                block = blocks[e.images] = f"        [\n          {entries}\n        ]"
+            rows.append(block)
+        families.append(
+            '    {\n      "elements": [\n' + ",\n".join(rows)
+            + f'\n      ],\n      "n": {s.n}\n    }}'
+        )
+    # the framing rides on the end blocks, so the whole text is copied once
+    families[0] = (
+        f'{{\n  "count": {len(semis)},\n  "n": {n},\n  "semilattices": [\n'
+        + families[0]
+    )
+    families[-1] += "\n  ]\n}\n"
+    return ",\n".join(families)
 
 
 def reduction_to_dict(r: ReductionResult) -> dict:

@@ -9,6 +9,8 @@ slower route that shares less with it.
   one pivoted search over all its vertices, with no symmetry reduction.
 - :func:`sink_zero_families` runs that search on the sink-0 graph: every
   maximal subsemilattice holding c_0, with no relabelling, each verified.
+- :func:`least_image` takes the smallest image under G of the orbit
+  search's cliques of one size with every image built, unpruned.
 """
 
 from semilat.enumeration import (
@@ -68,3 +70,16 @@ def sink_zero_families(n, cap):
         assert not common, "the direct search emitted a non-maximal clique"
         semis.append(verifier.semilattice(clique))
     return tuple(semis)
+
+
+def least_image(search, size):
+    """The canonically smallest family of ``size`` elements among the images
+    of ``search``'s found cliques under every relabelling, all built:
+    the reference for ``_SinkZeroOrbits.least``."""
+    best = 0
+    for clique in search.cliques:
+        if clique.bit_count() == size:
+            for image in search._images(clique):
+                if not best or image & (d := image ^ best) & -d:
+                    best = image
+    return search.verifier.semilattice(best)

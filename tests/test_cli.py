@@ -170,6 +170,33 @@ def test_enumerate_text_and_json(capsys):
     assert payload["semilattices"][0]["elements"] == [[0, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_listing_renderer_equals_dumps_of_the_dicts(n):
+    semis = sl.enumerate_maximal_semilattices(n)
+    listing = {
+        "n": n,
+        "count": len(semis),
+        "semilattices": [formats.semilattice_to_dict(s) for s in semis],
+    }
+    assert formats.listing_to_json(n, semis) == formats.dumps(listing)
+
+
+ENUMERATE_N6_JSON_SHA256 = (
+    "d913ce657fde72acdee960080a205a05a7590163178ce3b97e42a165dd3d84c7"
+)
+
+
+def test_enumerate_n6_json_bytes(tmp_path, capsys):
+    argv = ("enumerate", "--n", "6", "--cap", "6", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_N6_JSON_SHA256
+    path = tmp_path / "enumerate6.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == ENUMERATE_N6_JSON_SHA256
+
+
 def test_spectrum_formats(capsys):
     code, out, _ = run(capsys, "spectrum", "--n", "2", "--format", "csv")
     assert code == 0
@@ -539,10 +566,16 @@ def test_output_bytes_n3_through_out(tmp_path, capsys, monkeypatch, argv, stdin,
 
 
 def test_failed_command_leaves_no_out_file(tmp_path, capsys):
-    path = tmp_path / "out.txt"
-    code, out, err = run(capsys, "et", "--n", "3", "--t", "5", "--out", str(path))
-    assert (code, out, err) == (2, "", "error: t=5 outside [0, 3)\n")
-    assert not path.exists()
+    cases = [
+        ("et --n 3 --t 5", "error: t=5 outside [0, 3)\n"),
+        # the listing's JSON is rendered as text, not dumped by main
+        ("enumerate --n 6 --format json",
+         "error: n=6 exceeds the enumeration cap 5 (hard maximum 6)\n"),
+    ]
+    for argv, err in cases:
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv.split(), "--out", str(path)) == (2, "", err)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize(

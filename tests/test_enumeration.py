@@ -9,6 +9,7 @@ import pytest
 import semilat as sl
 from oracles import (
     brute_force_subsemilattices,
+    least_image,
     maximal_clique_bitsets,
     sink_zero_families,
 )
@@ -388,6 +389,7 @@ def test_orbit_search_equals_the_direct_sink_zero_search(sink_zero_by_n, n):
     search, witnesses, largest = _orbit_results(n)
     assert search.counts == Counter(len(s) for s in direct)
     assert witnesses == _least_by_size(direct)
+    assert witnesses == {size: least_image(search, size) for size in search.counts}
     top = max(len(s) for s in direct)
     assert largest == {s for s in direct if len(s) == top}
     assert len(search.cliques) == ORBIT_CLIQUES[n]
@@ -485,6 +487,8 @@ def test_optional_n7_orbit_search_equals_the_direct_search(monkeypatch):
     counts = search.counts
     assert {size: 7 * count for size, count in counts.items()} == N7_COUNTS
     assert sum(N7_COUNTS.values()) == 685951
+    for size in counts:  # the pruned witness, against every image built
+        assert search.least(size) == least_image(search, size)
     direct = sink_zero_families(7, 7)
     assert counts == Counter(len(s) for s in direct)
     # the listing's expansion, checked before any cap lets it reach n = 7
