@@ -5,7 +5,8 @@ to its sink t (the anchor lemma), and conjugating by the transposition (0 t)
 of the points maps the families with sink 0 one-to-one onto those with sink
 t.  So the search runs only on the idempotents that fix 0, which is c_0's
 closed neighbourhood in the commuting graph, and the other sinks are got by
-conjugation.
+conjugation, every sink's families ranked and sorted in one pass by
+:func:`_with_conjugates`.
 
 The substrate is the commuting graph over those idempotents: vertices in
 canonical order, adjacency decided by :func:`commuting_masks`, the block-wise
@@ -144,10 +145,6 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:
         _bron_kerbosch(rows, r | lsb, p & nv, x & nv, out)
         p &= ~lsb
         x |= lsb
-
-
-def _semilattice_sort_key(s: Semilattice):
-    return (-len(s.elements), s.key())
 
 
 # Codes stored in a product memo row in place of a vertex index.
@@ -369,7 +366,12 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
         for i in points(clique):
             common &= rows[i]
         if common:
-            raise RuntimeError("search emitted a non-maximal clique")
+            words = [graph.vertices[i].word() for i in points(clique)]
+            extra = graph.vertices[(common & -common).bit_length() - 1].word()
+            raise RuntimeError(
+                f"search emitted a non-maximal clique at n={n}: {words} "
+                f"has the common neighbor [{extra}]"
+            )
         verifier.semilattice(clique)
         by_share = shares.setdefault(clique.bit_count(), {})
         k = (clique & orbit).bit_count()
@@ -388,38 +390,34 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
     return _SinkZeroOrbits(verifier, moves, base, tuple(c for c, _ in found), counts)
 
 
-def _conjugates(
-    n: int, t: int, semis: tuple[Semilattice, ...]
-) -> list[Semilattice]:
-    """Each of ``semis`` conjugated by the transposition (0 t) of the points."""
-    swap = list(range(n))
-    swap[0], swap[t] = t, 0
-    # each element sits in many families: build its conjugate once
-    image: dict[Transformation, Transformation] = {}
-
-    def conjugate(e: Transformation) -> Transformation:
-        c = image.get(e)
-        if c is None:
-            a = e.images
-            c = image[e] = Transformation(n, tuple(swap[a[y]] for y in swap))
-        return c
-
-    return [
-        Semilattice(n, tuple(sorted(map(conjugate, s), key=lambda e: e.images)))
-        for s in semis
-    ]
-
-
 def _with_conjugates(
     n: int, sink_zero: tuple[Semilattice, ...]
 ) -> tuple[Semilattice, ...]:
     """Sink-0 families and their conjugates under (0 t) for t = 1..n-1, in
-    canonical order."""
-    semis = list(sink_zero)
-    for t in range(1, n):
-        semis += _conjugates(n, t, sink_zero)
-    semis.sort(key=_semilattice_sort_key)
-    return tuple(semis)
+    canonical order.
+
+    Each distinct member table is conjugated once per t (t = 0 is the
+    identity), the conjugate tables are ranked in image-table order, and
+    every family becomes its ascending tuple of ranks.  Rank tuples compare
+    as the families' carriers do, so one sort of them by size descending,
+    then lexicographically, is the canonical order."""
+    tables = list(dict.fromkeys(e.images for s in sink_zero for e in s))
+    index = {a: i for i, a in enumerate(tables)}
+    members = [[index[e.images] for e in s] for s in sink_zero]
+    per_sink = []
+    for t in range(n):
+        swap = list(range(n))
+        swap[0], swap[t] = t, 0
+        per_sink.append([tuple([swap[a[y]] for y in swap]) for a in tables])
+    order = sorted(set().union(*per_sink))
+    rank = {c: r for r, c in enumerate(order)}
+    ranked = []
+    for conjugated in per_sink:
+        ranks = [rank[c] for c in conjugated]
+        ranked += (tuple(sorted(map(ranks.__getitem__, m))) for m in members)
+    ranked.sort(key=lambda r: (-len(r), r))
+    maps = [Transformation(n, c) for c in order]
+    return tuple(Semilattice(n, tuple(map(maps.__getitem__, r))) for r in ranked)
 
 
 def enumerate_maximal_semilattices(

@@ -9,6 +9,8 @@ slower route that shares less with it.
   one pivoted search over all its vertices, with no symmetry reduction.
 - :func:`sink_zero_families` runs that search on the sink-0 graph: every
   maximal subsemilattice holding c_0, with no relabelling, each verified.
+- :func:`canonical_key` is the canonical order that listings are
+  sorted in, built from whole carriers.
 - :func:`least_image` takes the smallest image under G of the orbit
   search's cliques of one size with every image built, unpruned.
 """
@@ -17,13 +19,18 @@ from semilat.enumeration import (
     _bron_kerbosch,
     _check_cap,
     _CliqueVerifier,
-    _semilattice_sort_key,
     build_commuting_graph,
 )
 from semilat.semilattice import Semilattice, find_violation
 from semilat.transform import constant, enumerate_idempotents, points
 
 ORACLE_CAP = 3
+
+
+def canonical_key(s):
+    """The reference canonical order of a listing: size descending, then
+    the tuple of image tables."""
+    return (-len(s.elements), s.key())
 
 
 def brute_force_subsemilattices(n):
@@ -41,7 +48,7 @@ def brute_force_subsemilattices(n):
         members = [idems[i] for i in points(mask)]
         if find_violation(n, members) is None:
             found.append(Semilattice(n, tuple(members)))
-    found.sort(key=_semilattice_sort_key)
+    found.sort(key=canonical_key)
     return tuple(found)
 
 

@@ -9,6 +9,7 @@ import pytest
 import semilat as sl
 from oracles import (
     brute_force_subsemilattices,
+    canonical_key,
     least_image,
     maximal_clique_bitsets,
     sink_zero_families,
@@ -92,9 +93,9 @@ def test_enumerate_includes_collapse_families(maximal_by_n):
 
 
 def test_enumerate_output_is_canonically_sorted(maximal_by_n):
-    for n in (2, 3, 4):
+    for n in range(1, 6):
         semis = maximal_by_n[n]
-        keys = [(-len(s), s.key()) for s in semis]
+        keys = list(map(canonical_key, semis))
         assert keys == sorted(keys)
         assert len(set(semis)) == len(semis)
 
@@ -105,7 +106,7 @@ def _full_graph_families(n):
     kept as the oracle for it and for the conjugation."""
     cliques, verifier = _cliques_and_verifier(n)
     semis = [verifier.semilattice(clique) for clique in cliques]
-    semis.sort(key=enumeration._semilattice_sort_key)
+    semis.sort(key=canonical_key)
     return tuple(semis)
 
 
@@ -157,9 +158,9 @@ def test_optional_n6_conjugated_listing_equals_the_full_graph_oracle(n6_oracle):
 def test_conjugation_by_a_transposition_moves_the_collapse_sink():
     for n in range(1, 7):
         sink_zero = (sl.collapse_semilattice(n, 0),)
-        for t in range(n):
-            conjugated = enumeration._conjugates(n, t, sink_zero)
-            assert conjugated == [sl.collapse_semilattice(n, t)]
+        collapse = [sl.collapse_semilattice(n, t) for t in range(n)]
+        collapse.sort(key=canonical_key)
+        assert enumeration._with_conjugates(n, sink_zero) == tuple(collapse)
 
 
 def test_search_builds_only_the_sink_zero_graph(monkeypatch):
@@ -429,8 +430,13 @@ def test_orbit_search_checks_every_clique_is_maximal(monkeypatch):
     monkeypatch.setattr(
         enumeration, "_orbit_cliques", lambda rows, base, orbits: [(base, orbits[0])]
     )
-    with pytest.raises(RuntimeError, match="search emitted a non-maximal clique"):
+    with pytest.raises(RuntimeError) as err:
         enumeration._sink_zero_orbits(4, None)
+    message = str(err.value)
+    assert message.startswith("search emitted a non-maximal clique at n=4: ")
+    assert "['0 0 0 0', '0 1 2 3']" in message  # c_0 and the identity
+    # every other sink-0 idempotent commutes with both; the least is named
+    assert "has the common neighbor [0 0 0 3]" in message
 
 
 def test_orbit_search_rejects_a_count_that_is_not_an_integer(monkeypatch):
