@@ -9,11 +9,14 @@ binds no stream: usage and help go to whatever ``sys.stderr`` and
 ``sys.stdout`` are at the time of each call.
 Each handler takes the parsed argparse namespace, calls the library, which
 checks every argument (n, t, m, the cap, input files), and returns its exit
-status and its output, writing nothing.  :func:`main` is the one place that
-writes command output: it renders a JSON object with ``formats.dumps``
-(the enumerate listing's JSON comes back as text, rendered by
-``formats.listing_to_json``) and only then opens ``--out`` (or takes
-stdout), so a failed command leaves no file.  The CLI checks one argument
+status and its output, writing nothing.  The output is text, a JSON object,
+or an iterable of text chunks: the long listings (``enumerate``, and
+``idempotents`` as text) are computed and verified in the handler, and only
+their rendering is deferred to chunks made as they are written, so no
+whole-listing string is held.  :func:`main` is the one place that writes
+command output: it renders a JSON object with ``formats.dumps`` and writes
+the chunks to stdout, or to ``--out``, which it opens only once every check
+has passed, so a failed command leaves no file.  The CLI checks one argument
 itself, before any handler runs: ``--annotate`` needs ``--format json``,
 the only format that carries the annotations.  :func:`main` maps that
 ``ValueError``, and the library's ``ValueError`` or ``OSError``, to exit
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
+from collections.abc import Iterable
 
 from . import formats
 from .enumeration import (
@@ -50,8 +55,9 @@ from .semilattice import (
 )
 from .transform import enumerate_idempotents
 
-# A handler's exit status and output: text, or a JSON object for `main` to dump.
-_Output = tuple[int, str | dict]
+# A handler's exit status and output: text, a JSON object for `main` to dump,
+# or text chunks for `main` to write one by one.
+_Output = tuple[int, str | dict | Iterable[str]]
 
 
 def _read_input(args: argparse.Namespace) -> formats.ParsedFile:
@@ -93,9 +99,8 @@ def _cmd_idempotents(args: argparse.Namespace) -> _Output:
             "count": len(idems),
             "idempotents": [list(e.images) for e in idems],
         }
-    lines = [f"n={args.n} count={len(idems)}"]
-    lines.extend(e.word() for e in idems)
-    return 0, "\n".join(lines) + "\n"
+    header = f"n={args.n} count={len(idems)}\n"
+    return 0, itertools.chain((header,), (e.word() + "\n" for e in idems))
 
 
 def _cmd_et(args: argparse.Namespace) -> _Output:
@@ -166,11 +171,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
     if args.format == "json":
         return 0, formats.listing_to_json(args.n, semis)
-    blocks = [f"n={args.n} count={len(semis)}"]
-    for s in semis:
-        blocks.append("")
-        blocks.append(formats.format_semilattice_text(s).rstrip("\n"))
-    return 0, "\n".join(blocks) + "\n"
+    header = f"n={args.n} count={len(semis)}\n"
+    return 0, itertools.chain(
+        (header,), ("\n" + formats.format_semilattice_text(s) for s in semis)
+    )
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> _Output:
@@ -256,12 +260,14 @@ def main(argv=None) -> int:
         if getattr(args, "annotate", False) and args.format != "json":
             raise ValueError("--annotate needs --format json")
         code, output = _COMMANDS[args.command][0](args)
-        text = output if isinstance(output, str) else formats.dumps(output)
+        if isinstance(output, dict):
+            output = formats.dumps(output)
+        chunks = (output,) if isinstance(output, str) else output
         if args.output_path in (None, "-"):
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
             with open(args.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,10 @@ Transformations travel as whitespace-separated image words, one per line;
 ``n=<N> [t=<T>] size=<K>``, with T < N and K the number of distinct maps.
 All JSON is emitted with sorted keys and a fixed layout so identical runs
 are byte-identical: :func:`dumps`, except the enumerate listing, which
-:func:`listing_to_json` writes as text in the same layout, a distinct map's
-block once; the tests pin it byte-equal to :func:`dumps` of the dicts.
+:func:`listing_to_json` yields as text in the same layout, one chunk per
+family, so the CLI writes it without holding the whole listing; a distinct
+map's block is rendered once, and the tests pin the joined chunks
+byte-equal to :func:`dumps` of the dicts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .enumeration import SpectrumReport
 from .reduction import ReductionResult
@@ -102,10 +104,12 @@ def semilattice_to_dict(s: Semilattice, annotations: Optional[dict] = None) -> d
     return d
 
 
-def listing_to_json(n: int, semis: Sequence[Semilattice]) -> str:
-    """The enumerate listing as JSON: byte for byte :func:`dumps` of
-    ``{"n": n, "count": len(semis), "semilattices": [semilattice_to_dict(s),
-    ...]}``, written as text without building those dicts.  ``semis`` is
+def listing_to_json(n: int, semis: Sequence[Semilattice]) -> Iterator[str]:
+    """The enumerate listing as JSON, in chunks: the opening framing, one
+    chunk per family, then the closing lines.  Joined, the chunks are byte
+    for byte :func:`dumps` of ``{"n": n, "count": len(semis),
+    "semilattices": [semilattice_to_dict(s), ...]}``, written as text
+    without building those dicts or the whole string.  ``semis`` is
     nonempty, as every listing is.
 
     A map sits in many families, so each distinct map's indented block is
@@ -113,7 +117,8 @@ def listing_to_json(n: int, semis: Sequence[Semilattice]) -> str:
     ``dumps`` joins the blocks.
     """
     blocks: dict[tuple[int, ...], str] = {}
-    families = []
+    yield f'{{\n  "count": {len(semis)},\n  "n": {n},\n  "semilattices": [\n'
+    separator = ""
     for s in semis:
         rows = []
         for e in s.elements:
@@ -122,17 +127,12 @@ def listing_to_json(n: int, semis: Sequence[Semilattice]) -> str:
                 entries = ",\n          ".join(map(str, e.images))
                 block = blocks[e.images] = f"        [\n          {entries}\n        ]"
             rows.append(block)
-        families.append(
-            '    {\n      "elements": [\n' + ",\n".join(rows)
+        yield (
+            separator + '    {\n      "elements": [\n' + ",\n".join(rows)
             + f'\n      ],\n      "n": {s.n}\n    }}'
         )
-    # the framing rides on the end blocks, so the whole text is copied once
-    families[0] = (
-        f'{{\n  "count": {len(semis)},\n  "n": {n},\n  "semilattices": [\n'
-        + families[0]
-    )
-    families[-1] += "\n  ]\n}\n"
-    return ",\n".join(families)
+        separator = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def reduction_to_dict(r: ReductionResult) -> dict:

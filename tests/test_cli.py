@@ -4,6 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,11 +182,14 @@ def test_listing_renderer_equals_dumps_of_the_dicts(n):
         "count": len(semis),
         "semilattices": [formats.semilattice_to_dict(s) for s in semis],
     }
-    assert formats.listing_to_json(n, semis) == formats.dumps(listing)
+    assert "".join(formats.listing_to_json(n, semis)) == formats.dumps(listing)
 
 
 ENUMERATE_N6_JSON_SHA256 = (
     "d913ce657fde72acdee960080a205a05a7590163178ce3b97e42a165dd3d84c7"
+)
+ENUMERATE_N6_TEXT_SHA256 = (
+    "5e62fa198953b60f5a297943018ec280929d8d7a2960f4385b52744a8c14180a"
 )
 
 
@@ -195,6 +202,52 @@ def test_enumerate_n6_json_bytes(tmp_path, capsys):
     assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == ENUMERATE_N6_JSON_SHA256
+
+
+def test_enumerate_n6_text_bytes_through_out(tmp_path, capsys):
+    path = tmp_path / "enumerate6.txt"
+    argv = ("enumerate", "--n", "6", "--cap", "6", "--out", str(path))
+    assert run(capsys, *argv) == (0, "", "")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == ENUMERATE_N6_TEXT_SHA256
+
+
+# Runs ARGV in a grandchild and prints its exit status and peak RSS.  Linux
+# folds the address space a process replaces at exec into its peak, and a
+# child spawned straight from the test shares the test's, so a small
+# interpreter stands between them.
+_PEAK_RSS = """
+import os, sys
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss(*argv):
+    env = dict(os.environ)
+    src = str(Path(sl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "semilat.cli", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    return peak
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_enumerate_listing_peak_rss_is_below_twice_the_spectrum(tmp_path):
+    # the listing is written family by family, so its peak is the search's
+    # plus the listed families, not the whole 21 MB text held in memory
+    path = tmp_path / "enumerate6.json"
+    listing = _peak_rss("enumerate", "--n", "6", "--cap", "6", "--format", "json",
+                        "--out", str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ENUMERATE_N6_JSON_SHA256
+    histogram = _peak_rss("spectrum", "--n", "6", "--cap", "6")
+    assert listing < 2 * histogram, (listing, histogram)
 
 
 def test_spectrum_formats(capsys):
@@ -568,8 +621,11 @@ def test_output_bytes_n3_through_out(tmp_path, capsys, monkeypatch, argv, stdin,
 def test_failed_command_leaves_no_out_file(tmp_path, capsys):
     cases = [
         ("et --n 3 --t 5", "error: t=5 outside [0, 3)\n"),
-        # the listing's JSON is rendered as text, not dumped by main
+        # the listings come back as chunks, written only after the search
+        # and its checks have run in the handler
         ("enumerate --n 6 --format json",
+         "error: n=6 exceeds the enumeration cap 5 (hard maximum 6)\n"),
+        ("enumerate --n 6",
          "error: n=6 exceeds the enumeration cap 5 (hard maximum 6)\n"),
     ]
     for argv, err in cases:
