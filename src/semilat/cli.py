@@ -171,10 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
     if args.format == "json":
         return 0, formats.listing_to_json(args.n, semis)
-    header = f"n={args.n} count={len(semis)}\n"
-    return 0, itertools.chain(
-        (header,), ("\n" + formats.format_semilattice_text(s) for s in semis)
-    )
+    return 0, formats.listing_to_text(args.n, semis)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> _Output:

@@ -5,8 +5,7 @@ to its sink t (the anchor lemma), and conjugating by the transposition (0 t)
 of the points maps the families with sink 0 one-to-one onto those with sink
 t.  So the search runs only on the idempotents that fix 0, which is c_0's
 closed neighbourhood in the commuting graph, and the other sinks are got by
-conjugation, every sink's families ranked and sorted in one pass by
-:func:`_with_conjugates`.
+conjugation in :func:`_with_conjugates`.
 
 The substrate is the commuting graph over those idempotents: vertices in
 canonical order, adjacency decided by :func:`commuting_masks`, the block-wise
@@ -17,13 +16,12 @@ idempotent commuting with every common neighbor, so a maximal clique is
 automatically product-closed, and a clique strictly containing a
 subsemilattice generates a strictly larger one.  c_0 is adjacent to every
 vertex of its neighbourhood, so the maximal cliques there are exactly the
-maximal cliques of the whole graph that contain c_0.  None of this is taken on
-faith: every emitted clique is re-verified axiom by axiom on a second route
-that never reads the graph — naive composition of the vertices' image tables,
-memoised per pair of vertex indices — and the test suite keeps the oracles:
-a brute-force subset filter at n <= 3 pins the clique identification, a
-direct search over every sink-0 clique checks this one, and the full graph
-over all idempotents checks the sink-0 reduction and the conjugation.
+maximal cliques of the whole graph that contain c_0.  Every clique is
+re-verified axiom by axiom on a route that never reads the graph: naive
+composition of the vertices' image tables, memoised per pair of vertex
+indices.  The test suite keeps the oracles: a brute-force subset filter at
+n <= 3, a direct search over every sink-0 clique, and the full graph over all
+idempotents, which checks the sink-0 reduction and the conjugation.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
 excluded sets held as bit vectors indexed by vertex index, in one search,
@@ -31,9 +29,9 @@ excluded sets held as bit vectors indexed by vertex index, in one search,
 0, which permutes the sink-0 families: one search per orbit of vertices,
 each found clique weighted by the share of that orbit it holds.  The
 spectrum reads the weighted counts; the listing and the largest families
-expand the found cliques under the relabellings.  It finds 101 cliques at
-n = 6, which expand to the 3761 sink-0 families, and checks the cap before
-any work.
+expand the found cliques under the relabellings (101 cliques at n = 6, for
+3761 sink-0 families).  Families stay checked bit vectors until
+:func:`_with_conjugates` builds each listed family once.
 """
 
 from __future__ import annotations
@@ -203,20 +201,23 @@ class _CliqueVerifier:
                     return "closure"
         return None
 
-    def semilattice(self, clique: int) -> Semilattice:
-        """The clique's members as a semilattice.
-
-        A rejected clique goes through :func:`verify_semilattice`, whose
-        :class:`SemilatticeError` names the axiom and the elements.
-        """
-        members = tuple(self.vertices[i] for i in points(clique))
+    def check(self, clique: int) -> None:
+        """Raise unless the clique's members form a semilattice: a rejected
+        clique goes through :func:`verify_semilattice`, whose
+        :class:`SemilatticeError` names the axiom and the elements."""
         if self.violation(clique) is None:
-            return Semilattice(self.n, members)
+            return
+        members = tuple(self.vertices[i] for i in points(clique))
         verify_semilattice(self.n, members)
         raise RuntimeError(
             f"the index verifier and verify_semilattice disagree at n={self.n} "
             f"on the clique {[m.word() for m in members]}"
         )
+
+    def semilattice(self, clique: int) -> Semilattice:
+        """The clique's members as a semilattice, after :meth:`check`."""
+        self.check(clique)
+        return Semilattice(self.n, tuple(self.vertices[i] for i in points(clique)))
 
 
 def _relabellings(
@@ -322,17 +323,16 @@ class _SinkZeroOrbits:
                     best = image
         return self.verifier.semilattice(best)
 
-    def families(self, size: int | None = None) -> tuple[Semilattice, ...]:
-        """Every sink-0 family, or every one of ``size`` elements: the found
-        cliques and their images under G, each verified, in bit-vector
-        order."""
-        found = {
-            image
-            for clique in self.cliques
-            if size is None or clique.bit_count() == size
-            for image in self._images(clique)
-        }
-        return tuple(self.verifier.semilattice(c) for c in sorted(found))
+    def families(self, size: int | None = None) -> list[int]:
+        """Every sink-0 family, or every one of ``size`` elements, as a bit
+        vector over ``verifier.vertices``: the found cliques and their images
+        under G, each passed through :meth:`_CliqueVerifier.check`, in
+        ascending order."""
+        chosen = (c for c in self.cliques if size is None or c.bit_count() == size)
+        found = sorted({image for c in chosen for image in self._images(c)})
+        for clique in found:
+            self.verifier.check(clique)
+        return found
 
 
 def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
@@ -345,9 +345,10 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
     clique C meets, G is transitive on O_i, so |G.C| |C & O_i| / |O_i| of the
     cliques in C's G-orbit hold r_i, and the search of O_i finds them all:
     with each found clique weighted by |O_i| / |C & O_i|, the weights of the
-    cliques found from one G-orbit add up to its size.  The weights are summed exactly, and a total
-    that is not an integer raises RuntimeError.  Raises CapExceeded above
-    the cap.
+    cliques found from one G-orbit add up to its size.  The weights are
+    summed exactly, and a total that is not an integer raises RuntimeError.
+    Each found clique is checked by the naive-composition verifier.  Raises
+    CapExceeded above the cap.
     """
     _check_cap(n, cap)
     verts = enumerate_idempotents(n, (constant(n, 0),))  # the idempotents fixing 0
@@ -372,7 +373,7 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
                 f"search emitted a non-maximal clique at n={n}: {words} "
                 f"has the common neighbor [{extra}]"
             )
-        verifier.semilattice(clique)
+        verifier.check(clique)
         by_share = shares.setdefault(clique.bit_count(), {})
         k = (clique & orbit).bit_count()
         by_share[k] = by_share.get(k, 0) + orbit.bit_count()
@@ -391,19 +392,19 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
 
 
 def _with_conjugates(
-    n: int, sink_zero: tuple[Semilattice, ...]
+    n: int, vertices: tuple[Transformation, ...], cliques: list[int]
 ) -> tuple[Semilattice, ...]:
-    """Sink-0 families and their conjugates under (0 t) for t = 1..n-1, in
-    canonical order.
+    """The sink-0 families ``cliques``, checked bit vectors over ``vertices``,
+    and their conjugates under (0 t) for t = 1..n-1, in canonical order.
 
-    Each distinct member table is conjugated once per t (t = 0 is the
-    identity), the conjugate tables are ranked in image-table order, and
-    every family becomes its ascending tuple of ranks.  Rank tuples compare
-    as the families' carriers do, so one sort of them by size descending,
-    then lexicographically, is the canonical order."""
-    tables = list(dict.fromkeys(e.images for s in sink_zero for e in s))
-    index = {a: i for i, a in enumerate(tables)}
-    members = [[index[e.images] for e in s] for s in sink_zero]
+    Each vertex that a family holds is conjugated once per t (t = 0 is the
+    identity), and the conjugates are ranked once in image-table order.
+    Every family becomes its ascending tuple of ranks, which compare as the
+    carriers do, so one sort by size descending, then lexicographically, is
+    the canonical order; each family is then built once from its ranks."""
+    members = [points(c) for c in cliques]
+    held = sorted(set().union(*members))
+    tables = [vertices[i].images for i in held]
     per_sink = []
     for t in range(n):
         swap = list(range(n))
@@ -413,7 +414,7 @@ def _with_conjugates(
     rank = {c: r for r, c in enumerate(order)}
     ranked = []
     for conjugated in per_sink:
-        ranks = [rank[c] for c in conjugated]
+        ranks = dict(zip(held, map(rank.__getitem__, conjugated)))
         ranked += (tuple(sorted(map(ranks.__getitem__, m))) for m in members)
     ranked.sort(key=lambda r: (-len(r), r))
     maps = [Transformation(n, c) for c in order]
@@ -429,21 +430,19 @@ def enumerate_maximal_semilattices(
 
     Output is sorted by size descending, then lexicographically on the carrier.
     """
-    return _with_conjugates(n, _sink_zero_orbits(n, cap).families())
-
-
-def _largest(semis: tuple[Semilattice, ...]) -> tuple[Semilattice, ...]:
-    top = max(len(s) for s in semis)
-    return tuple(s for s in semis if len(s) == top)
+    search = _sink_zero_orbits(n, cap)
+    vertices, cliques = search.verifier.vertices, search.families()
+    del search  # its memo rows and G table are not needed to conjugate
+    return _with_conjugates(n, vertices, cliques)
 
 
 def max_size_semilattices(n: int, cap: int | None = None) -> tuple[Semilattice, ...]:
     """The maximal subsemilattices of the largest cardinality, canonically
-    ordered: the largest sink-0 families and their conjugates.  The sink-0
-    families are the largest cliques of the search up to relabelling,
-    expanded under the permutations that fix 0, each verified."""
+    ordered: the largest found cliques of the search, expanded under the
+    permutations that fix 0, each checked, and their conjugates."""
     search = _sink_zero_orbits(n, cap)
-    return _with_conjugates(n, search.families(max(search.counts)))
+    top = search.families(max(search.counts))
+    return _with_conjugates(n, search.verifier.vertices, top)
 
 
 def extremal_clauses(
@@ -458,8 +457,8 @@ def extremal_clauses(
     lattice on n-1 atoms.
     """
     expected_top = 1 << (n - 1)
-    winners = _largest(semis)
-    top = len(winners[0])
+    top = max(map(len, semis))
+    winners = tuple(s for s in semis if len(s) == top)
     return (
         (top == expected_top, f"max-size: {top} == 2^(n-1) = {expected_top}"),
         (
@@ -509,20 +508,20 @@ class SpectrumReport:
 def spectrum(n: int, cap: int | None = None) -> SpectrumReport:
     """Group the maximal subsemilattices by cardinality.
 
-    Only the sink-0 families are counted: conjugation by (0 t) carries them
-    one-to-one onto the sink-t families, so each count is n times the sink-0
-    count.  They are counted up to relabelling the points other than 0, by
-    the orbit-weighted search :func:`_sink_zero_orbits`, which lists one or
-    a few cliques per orbit instead of every family.  The witness for each
-    size is the canonically smallest maximal subsemilattice of that size, so
-    reports are deterministic; it has sink 0, since c_0 = (0, ..., 0) is the
-    smallest image table and no other sink's family contains it, and it is
-    the least relabelling of a found clique of that size.  Raises
-    RuntimeError naming the failed clauses if the conjugates of the largest
-    sink-0 families contradict the extremal theorem.
+    Only the sink-0 families are counted, up to relabelling the points other
+    than 0, by the orbit-weighted search :func:`_sink_zero_orbits`:
+    conjugation by (0 t) carries them one-to-one onto the sink-t families,
+    so each count is n times the sink-0 count.  The witness for each size is
+    the canonically smallest maximal subsemilattice of that size, so reports
+    are deterministic; it has sink 0, since c_0 = (0, ..., 0) is the smallest
+    image table and no other sink's family contains it, and it is the least
+    relabelling of a found clique of that size.  Raises RuntimeError naming
+    the failed clauses if the conjugates of the largest sink-0 families
+    contradict the extremal theorem.
     """
     search = _sink_zero_orbits(n, cap)
-    winners = _with_conjugates(n, search.families(max(search.counts)))
+    top = search.families(max(search.counts))
+    winners = _with_conjugates(n, search.verifier.vertices, top)
     failed = [statement for holds, statement in extremal_clauses(n, winners) if not holds]
     if failed:
         raise RuntimeError(

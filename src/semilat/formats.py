@@ -8,7 +8,8 @@ are byte-identical: :func:`dumps`, except the enumerate listing, which
 :func:`listing_to_json` yields as text in the same layout, one chunk per
 family, so the CLI writes it without holding the whole listing; a distinct
 map's block is rendered once, and the tests pin the joined chunks
-byte-equal to :func:`dumps` of the dicts.
+byte-equal to :func:`dumps` of the dicts.  :func:`listing_to_text` yields
+the text listing the same way, each distinct map's line rendered once.
 """
 
 from __future__ import annotations
@@ -133,6 +134,23 @@ def listing_to_json(n: int, semis: Sequence[Semilattice]) -> Iterator[str]:
         )
         separator = ",\n"
     yield "\n  ]\n}\n"
+
+
+def listing_to_text(n: int, semis: Sequence[Semilattice]) -> Iterator[str]:
+    """The enumerate listing as text, in chunks: the header line, then one
+    chunk per family, a blank line and the family as
+    :func:`format_semilattice_text` renders it.  Each distinct map's line is
+    rendered once, keyed by its image table."""
+    words: dict[tuple[int, ...], str] = {}
+    yield f"n={n} count={len(semis)}\n"
+    for s in semis:
+        rows = []
+        for e in s.elements:
+            word = words.get(e.images)
+            if word is None:
+                word = words[e.images] = e.word()
+            rows.append(word)
+        yield f"\n{semilattice_header(s)}\n" + "\n".join(rows) + "\n"
 
 
 def reduction_to_dict(r: ReductionResult) -> dict:

@@ -185,6 +185,20 @@ def test_listing_renderer_equals_dumps_of_the_dicts(n):
     assert "".join(formats.listing_to_json(n, semis)) == formats.dumps(listing)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_text_listing_renderer_equals_the_per_family_rendering(n):
+    # chunk by chunk, so the joined listing is equal too, and a mismatch
+    # reports one family instead of diffing the whole listing
+    semis = sl.enumerate_maximal_semilattices(n)
+    reference = [f"n={n} count={len(semis)}\n"] + [
+        "\n" + formats.format_semilattice_text(s) for s in semis
+    ]
+    chunks = list(formats.listing_to_text(n, semis))
+    assert len(chunks) == len(reference)
+    for chunk, expected in zip(chunks, reference):
+        assert chunk == expected
+
+
 ENUMERATE_N6_JSON_SHA256 = (
     "d913ce657fde72acdee960080a205a05a7590163178ce3b97e42a165dd3d84c7"
 )

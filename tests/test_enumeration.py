@@ -157,10 +157,11 @@ def test_optional_n6_conjugated_listing_equals_the_full_graph_oracle(n6_oracle):
 
 def test_conjugation_by_a_transposition_moves_the_collapse_sink():
     for n in range(1, 7):
-        sink_zero = (sl.collapse_semilattice(n, 0),)
+        vertices = sl.enumerate_idempotents(n, (sl.constant(n, 0),))
+        sink_zero = _sink_zero_bits(n, [sl.collapse_semilattice(n, 0)])
         collapse = [sl.collapse_semilattice(n, t) for t in range(n)]
         collapse.sort(key=canonical_key)
-        assert enumeration._with_conjugates(n, sink_zero) == tuple(collapse)
+        assert enumeration._with_conjugates(n, vertices, sink_zero) == tuple(collapse)
 
 
 def test_search_builds_only_the_sink_zero_graph(monkeypatch):
@@ -381,7 +382,8 @@ def _orbit_results(n):
     """The orbit search's counts, witnesses and largest families."""
     search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
     witnesses = {size: search.least(size) for size in search.counts}
-    return search, witnesses, set(search.families(max(search.counts)))
+    largest = search.families(max(search.counts))
+    return search, witnesses, set(map(search.verifier.semilattice, largest))
 
 
 @pytest.mark.parametrize("n", sorted(ORBIT_CLIQUES))
@@ -457,22 +459,58 @@ def test_orbit_search_rejects_a_count_that_is_not_an_integer(monkeypatch):
 
 
 def test_spectrum_verifies_every_clique_it_reports(monkeypatch):
-    # the found cliques, each witness and each largest family all go
-    # through the naive-composition verifier
-    verified = set()
-    real = enumeration._CliqueVerifier.semilattice
+    # the found cliques, each witness, each largest family and each listed
+    # sink-0 family all go through the naive-composition verifier
+    found = enumeration._sink_zero_orbits(5, None).cliques
+    checked = set()
+    real = enumeration._CliqueVerifier.check
 
     def record(self, clique):
-        verified.add(clique)
+        checked.add(clique)
         return real(self, clique)
 
-    monkeypatch.setattr(enumeration._CliqueVerifier, "semilattice", record)
+    monkeypatch.setattr(enumeration._CliqueVerifier, "check", record)
     report = sl.spectrum(5)
-    found = enumeration._sink_zero_orbits(5, None).cliques
     reported = [e.witness for e in report.entries] + [
         s for s in sl.max_size_semilattices(5) if sl.constant(5, 0) in s
     ]
-    assert set(found) | set(_sink_zero_bits(5, reported)) <= verified
+    assert set(found) | set(_sink_zero_bits(5, reported)) <= checked
+    checked.clear()
+    listed = [
+        s for s in sl.enumerate_maximal_semilattices(5) if sl.constant(5, 0) in s
+    ]
+    assert len(listed) == 213
+    assert set(_sink_zero_bits(5, listed)) <= checked
+
+
+def test_a_rejected_expanded_image_stops_the_listing(monkeypatch):
+    # the naive-composition verifier rejects one relabelled image that the
+    # search did not find itself; the fallback accepts it, and the
+    # disagreement stops the listing
+    search = enumeration._sink_zero_orbits(4, None)
+    target = next(c for c in search.families() if c not in search.cliques)
+    real = enumeration._CliqueVerifier.violation
+
+    def reject(self, clique):
+        return "closure" if clique == target else real(self, clique)
+
+    monkeypatch.setattr(enumeration._CliqueVerifier, "violation", reject)
+    with pytest.raises(RuntimeError, match="disagree at n=4 on the clique"):
+        sl.enumerate_maximal_semilattices(4)
+
+
+def test_the_listing_builds_each_family_once(monkeypatch):
+    # families travel as bit vectors; only the final listing builds them
+    built = Counter()
+    real = sl.Semilattice.__post_init__
+
+    def record(self):
+        built["semilattices"] += 1
+        real(self)
+
+    monkeypatch.setattr(sl.Semilattice, "__post_init__", record)
+    assert len(sl.enumerate_maximal_semilattices(5)) == 1065
+    assert built["semilattices"] == 1065
 
 
 # The n = 7 line of the spectrum, as size:count over all maximal
@@ -498,7 +536,7 @@ def test_optional_n7_orbit_search_equals_the_direct_search(monkeypatch):
     direct = sink_zero_families(7, 7)
     assert counts == Counter(len(s) for s in direct)
     # the listing's expansion, checked before any cap lets it reach n = 7
-    expanded = search.families()
+    expanded = list(map(search.verifier.semilattice, search.families()))
     assert len(expanded) == len(direct) == 97993
     assert set(expanded) == set(direct)
 
