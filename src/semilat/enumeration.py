@@ -25,12 +25,13 @@ idempotents, which checks the sink-0 reduction and the conjugation.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
 excluded sets held as bit vectors indexed by vertex index, in one search,
-:func:`_sink_zero_orbits`.  It works up to relabelling the points other than
-0, which permutes the sink-0 families: one search per orbit of vertices,
-each found clique weighted by the share of that orbit it holds.  The
-spectrum reads the weighted counts; the listing and the largest families
-expand the found cliques under the relabellings (101 cliques at n = 6, for
-3761 sink-0 families).  Families stay checked bit vectors until
+:func:`_sink_zero_orbits`.  It works up to G, the relabellings of the points
+other than 0, which permute the sink-0 families, by one rule over every
+G-orbit of vertices: one search per orbit, each found clique weighted by the
+share of that orbit it holds.  c_0 and the identity, which G fixes, are two
+of those orbits.  The spectrum reads the weighted counts; the listing and
+the largest families expand the found cliques under G (101 cliques at
+n = 6, for 3761 sink-0 families).  Families stay checked bit vectors until
 :func:`_with_conjugates` builds each listed family once.
 """
 
@@ -54,7 +55,6 @@ from .transform import (
     commuting_masks,
     constant,
     enumerate_idempotents,
-    identity,
     points,
 )
 
@@ -220,23 +220,19 @@ class _CliqueVerifier:
         return Semilattice(self.n, tuple(self.vertices[i] for i in points(clique)))
 
 
-def _relabellings(
-    n: int, vertices: tuple[Transformation, ...]
-) -> list[tuple[int, ...]]:
+def _relabellings(n: int, index: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
     """How G, the (n-1)! permutations of the points that fix 0, moves each
-    vertex: entry i holds the bit ``1 << p(i)`` for each p in G, in one
-    fixed order of G.  A permutation s relabels a map e as the map sending
-    s(x) to s(e(x)); G is the closure, on the vertex indices, of the
-    generators (1 2) and (1 2 ... n-1)."""
-    index = {v.images: i for i, v in enumerate(vertices)}
+    vertex of ``index``, the verifier's image tables in vertex order: entry
+    i holds the bit ``1 << p(i)`` for each p in G, in one fixed order of G.
+    A permutation s relabels a map e as the map sending s(x) to s(e(x)); G
+    is the closure, on the vertex indices, of (1 2) and (1 2 ... n-1)."""
     steps = []
     cycles = ((0, 2, 1, *range(3, n)), (0, *range(2, n), 1)) if n > 2 else ()
     for s in dict.fromkeys(cycles):  # one generator at n = 3
         inverse = sorted(range(n), key=s.__getitem__)
-        # index's keys are the image tables, in vertex order
         moved = [index[tuple([s[a[x]] for x in inverse])] for a in index]
         steps.append(itemgetter(*moved))
-    group = [tuple(range(len(vertices)))]
+    group = [tuple(range(len(index)))]
     seen = set(group)
     for p in group:  # the list grows as it is walked: a breadth-first closure
         for step in steps:
@@ -244,13 +240,14 @@ def _relabellings(
             if q not in seen:
                 seen.add(q)
                 group.append(q)
-    bits = [1 << i for i in range(len(vertices))]
+    bits = [1 << i for i in range(len(index))]
     return list(zip(*(map(bits.__getitem__, p) for p in group)))
 
 
 def _vertex_orbits(moves: list[tuple[int, ...]], free: int) -> list[int]:
     """The orbits of G on the vertices in the bit vector ``free``, as bit
-    vectors, in search order: descending size, ties by least vertex."""
+    vectors, in search order: descending size, ties by least vertex, so the
+    vertices G fixes, c_0 and then the identity, come last."""
     orbits = []
     while free:
         v = (free & -free).bit_length() - 1
@@ -261,18 +258,17 @@ def _vertex_orbits(moves: list[tuple[int, ...]], free: int) -> list[int]:
     return orbits
 
 
-def _orbit_cliques(rows, base: int, orbits: list[int]):
-    """Yield (clique, orbit) for each maximal clique that holds the universal
-    vertices ``base``, the least vertex of ``orbit`` and no vertex of an
-    earlier orbit.  The earlier orbits' vertices go into the excluded set,
-    so every clique yielded is maximal in the whole graph."""
+def _orbit_cliques(rows, orbits: list[int]):
+    """For every orbit alike, singletons included, yield (clique, orbit) for
+    each maximal clique that holds the orbit's least vertex and no vertex of
+    an earlier orbit.  The earlier orbits' vertices go into the excluded
+    set, so every clique yielded is maximal in the whole graph."""
     earlier = 0
     for orbit in orbits:
         root = (orbit & -orbit).bit_length() - 1
         nbrs = rows[root]
         out: list[int] = []
-        p = nbrs & ~earlier & ~base
-        _bron_kerbosch(rows, base | 1 << root, p, nbrs & earlier, out)
+        _bron_kerbosch(rows, 1 << root, nbrs & ~earlier, nbrs & earlier, out)
         for clique in out:
             yield clique, orbit
         earlier |= orbit
@@ -289,7 +285,7 @@ class _SinkZeroOrbits:
 
     verifier: _CliqueVerifier
     moves: list[tuple[int, ...]]  # from _relabellings
-    base: int  # c_0 and the identity, in every clique and fixed by G
+    fixed: int  # the vertices G fixes: the union of the singleton orbits
     cliques: tuple[int, ...]
     counts: dict[int, int]
 
@@ -303,19 +299,19 @@ class _SinkZeroOrbits:
 
         Vertices are in image-table order, so of two equal-size bit vectors
         the one holding the lowest bit where they differ has the smaller
-        :meth:`Semilattice.key`.  Every image holds ``base``, which G fixes,
-        so the least one holds m, the least other vertex that some p in G
-        moves a member onto, and only the images under such p are built."""
+        :meth:`Semilattice.key`.  Every image holds the clique's ``fixed``
+        members, so the least one holds m, the least vertex that some p in G
+        moves another member onto, and only the images under such p are built."""
         found = [c for c in self.cliques if c.bit_count() == size]
         low = {  # each moved member's least image under G, as a bit
-            v: min(self.moves[v]) for c in found for v in points(c & ~self.base)
+            v: min(self.moves[v]) for c in found for v in points(c & ~self.fixed)
         }
-        if not low:  # n <= 2: the one clique is base
+        if not low:  # G fixes every member: the clique is its only image
             return self.verifier.semilattice(found[0])
         m = min(low.values())
         best = 0
         for clique in found:
-            lead = [self.moves[v] for v in points(clique & ~self.base) if low[v] == m]
+            lead = [self.moves[v] for v in points(clique & ~self.fixed) if low[v] == m]
             onto = list(map(any, zip(*(map(m.__eq__, column) for column in lead))))
             columns = (compress(self.moves[v], onto) for v in points(clique))
             for image in map(sum, zip(*columns)):
@@ -334,19 +330,27 @@ class _SinkZeroOrbits:
             self.verifier.check(clique)
         return found
 
+    def largest(self) -> tuple[Semilattice, ...]:
+        """The maximal subsemilattices of the largest size, canonically
+        ordered: the largest sink-0 families and their conjugates."""
+        top = self.families(max(self.counts))
+        return _with_conjugates(self.verifier.n, self.verifier.vertices, top)
+
 
 def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
     """The sink-0 search up to relabelling the points other than 0.
 
-    G permutes the maximal sink-0 cliques, and c_0 and the identity are in
-    all of them.  With the other vertices split into G-orbits O_1, O_2, ...,
-    one search per orbit lists the maximal cliques that hold O_i's least
-    vertex r_i and avoid O_1 .. O_(i-1).  If O_i is the first orbit that a
-    clique C meets, G is transitive on O_i, so |G.C| |C & O_i| / |O_i| of the
-    cliques in C's G-orbit hold r_i, and the search of O_i finds them all:
-    with each found clique weighted by |O_i| / |C & O_i|, the weights of the
-    cliques found from one G-orbit add up to its size.  The weights are
-    summed exactly, and a total that is not an integer raises RuntimeError.
+    G permutes the maximal sink-0 cliques.  With the vertices split into
+    G-orbits O_1, O_2, ..., one search per orbit lists the maximal cliques
+    that hold O_i's least vertex r_i and avoid O_1 .. O_(i-1).  If O_i is
+    the first orbit that a clique C meets, G is transitive on O_i, so
+    |G.C| |C & O_i| / |O_i| of the cliques in C's G-orbit hold r_i: with
+    each found clique weighted by |O_i| / |C & O_i|, the weights of the
+    cliques found from one G-orbit add up to its size.  The last orbits are
+    c_0 and the identity, which G fixes and every clique holds, so their
+    searches find a clique only when there is no other vertex (n <= 2).
+    The weights are summed exactly over D, the lcm of the shares
+    |C & O_i|, and a total that D does not divide raises RuntimeError.
     Each found clique is checked by the naive-composition verifier.  Raises
     CapExceeded above the cap.
     """
@@ -355,13 +359,12 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
     graph = build_commuting_graph(n, verts)
     rows = graph.rows
     verifier = _CliqueVerifier(n, graph.vertices)
-    moves = _relabellings(n, graph.vertices)
-    base = 1 | 1 << graph.vertices.index(identity(n))  # c_0 is vertex 0
+    moves = _relabellings(n, verifier._index)
     full = (1 << len(rows)) - 1
-    orbits = _vertex_orbits(moves, full & ~base)
-    # with no other vertex (n <= 2) the one maximal clique is base, weight 1
-    found = list(_orbit_cliques(rows, base, orbits)) if orbits else [(base, base)]
-    shares: dict[int, dict[int, int]] = {}  # size -> {|C & O|: sum of |O|}
+    orbits = _vertex_orbits(moves, full)
+    found = list(_orbit_cliques(rows, orbits))
+    den = lcm(*((clique & orbit).bit_count() for clique, orbit in found))
+    totals: dict[int, int] = {}  # size -> den times the weighted count
     for clique, orbit in found:
         common = full
         for i in points(clique):
@@ -374,21 +377,19 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
                 f"has the common neighbor [{extra}]"
             )
         verifier.check(clique)
-        by_share = shares.setdefault(clique.bit_count(), {})
-        k = (clique & orbit).bit_count()
-        by_share[k] = by_share.get(k, 0) + orbit.bit_count()
+        size = clique.bit_count()
+        weight = orbit.bit_count() * den // (clique & orbit).bit_count()
+        totals[size] = totals.get(size, 0) + weight
     counts = {}
-    for size, by_share in sorted(shares.items()):
-        den = lcm(*by_share)
-        num = sum(total * (den // k) for k, total in by_share.items())
-        count, rest = divmod(num, den)
+    for size, total in sorted(totals.items()):
+        counts[size], rest = divmod(total, den)
         if rest:
             raise RuntimeError(
                 f"the orbit-weighted count of the sink-0 families of size {size} "
-                f"at n={n} is {num}/{den}, not an integer"
+                f"at n={n} is {total}/{den}, not an integer"
             )
-        counts[size] = count
-    return _SinkZeroOrbits(verifier, moves, base, tuple(c for c, _ in found), counts)
+    fixed = sum(orbit for orbit in orbits if orbit.bit_count() == 1)
+    return _SinkZeroOrbits(verifier, moves, fixed, tuple(c for c, _ in found), counts)
 
 
 def _with_conjugates(
@@ -440,9 +441,7 @@ def max_size_semilattices(n: int, cap: int | None = None) -> tuple[Semilattice, 
     """The maximal subsemilattices of the largest cardinality, canonically
     ordered: the largest found cliques of the search, expanded under the
     permutations that fix 0, each checked, and their conjugates."""
-    search = _sink_zero_orbits(n, cap)
-    top = search.families(max(search.counts))
-    return _with_conjugates(n, search.verifier.vertices, top)
+    return _sink_zero_orbits(n, cap).largest()
 
 
 def extremal_clauses(
@@ -520,8 +519,7 @@ def spectrum(n: int, cap: int | None = None) -> SpectrumReport:
     contradict the extremal theorem.
     """
     search = _sink_zero_orbits(n, cap)
-    top = search.families(max(search.counts))
-    winners = _with_conjugates(n, search.verifier.vertices, top)
+    winners = search.largest()
     failed = [statement for holds, statement in extremal_clauses(n, winners) if not holds]
     if failed:
         raise RuntimeError(

@@ -9,6 +9,9 @@ slower route that shares less with it.
   one pivoted search over all its vertices, with no symmetry reduction.
 - :func:`sink_zero_families` runs that search on the sink-0 graph: every
   maximal subsemilattice holding c_0, with no relabelling, each verified.
+- :func:`incremental_sink_zero_families` lists the same families by adding
+  one vertex at a time to the naive :func:`commutes` graph, sharing neither
+  the block test nor the clique search.
 - :func:`canonical_key` is the canonical order that listings are
   sorted in, built from whole carriers.
 - :func:`least_image` takes the smallest image under G of the orbit
@@ -22,7 +25,7 @@ from semilat.enumeration import (
     build_commuting_graph,
 )
 from semilat.semilattice import Semilattice, find_violation
-from semilat.transform import constant, enumerate_idempotents, points
+from semilat.transform import commutes, constant, enumerate_idempotents, points
 
 ORACLE_CAP = 3
 
@@ -90,3 +93,37 @@ def least_image(search, size):
                 if not best or image & (d := image ^ best) & -d:
                     best = image
     return search.verifier.semilattice(best)
+
+
+def incremental_sink_zero_families(n):
+    """The maximal subsemilattices of T(n) that contain c_0, as frozensets of
+    maps: the maximal cliques of the naive :func:`commutes` graph on the
+    idempotents that commute with c_0, grown one vertex at a time
+    (Tsukiyama et al., SIAM J. Comput. 6, 1977).
+
+    When v is added, a maximal clique C of the earlier vertices stays
+    maximal unless v is adjacent to all of it, and every new maximal clique
+    holding v is (C & N(v)) + v for some such C, kept if no earlier
+    neighbour of v is adjacent to all of C & N(v).
+    """
+    c0 = constant(n, 0)
+    verts = [e for e in enumerate_idempotents(n) if commutes(e, c0)]
+    rows = [0] * len(verts)
+    for i, a in enumerate(verts):
+        for j in range(i):
+            if commutes(a, verts[j]):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    cliques = {0}  # the one maximal clique of the graph with no vertex
+    for v, row in enumerate(rows):
+        before = row & ((1 << v) - 1)
+        grown = set()
+        for c in cliques:
+            d = c & before
+            common = before
+            for u in points(d):
+                common &= rows[u]
+            if not common:
+                grown.add(d | 1 << v)
+        cliques = {c for c in cliques if c & ~before} | grown
+    return {frozenset(map(verts.__getitem__, points(c))) for c in cliques}

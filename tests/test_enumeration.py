@@ -10,6 +10,7 @@ import semilat as sl
 from oracles import (
     brute_force_subsemilattices,
     canonical_key,
+    incremental_sink_zero_families,
     least_image,
     maximal_clique_bitsets,
     sink_zero_families,
@@ -323,8 +324,8 @@ def test_spectrum_names_the_failed_clauses(monkeypatch):
     (missing,) = _sink_zero_bits(4, [sl.collapse_semilattice(4, 0)])
     real = enumeration._orbit_cliques
 
-    def miss(rows, base, orbits):
-        return ((c, o) for c, o in real(rows, base, orbits) if c != missing)
+    def miss(rows, orbits):
+        return ((c, o) for c, o in real(rows, orbits) if c != missing)
 
     monkeypatch.setattr(enumeration, "_orbit_cliques", miss)
     message = (
@@ -398,6 +399,17 @@ def test_orbit_search_equals_the_direct_sink_zero_search(sink_zero_by_n, n):
     assert len(search.cliques) == ORBIT_CLIQUES[n]
 
 
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_orbit_search_equals_the_incremental_listing(n):
+    # a route that shares neither the block test nor the clique search
+    search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
+    vertices = search.verifier.vertices
+    found = {frozenset(map(vertices.__getitem__, points(c))) for c in search.families()}
+    assert found == incremental_sink_zero_families(n)
+
+
 @pytest.fixture(scope="module")
 def listing_by_n():
     return {n: sl.enumerate_maximal_semilattices(n, cap=6) for n in (4, 5, 6)}
@@ -412,11 +424,14 @@ def test_orbit_search_does_not_depend_on_the_orbit_order(
     real = enumeration._vertex_orbits
 
     def reorder(moves, free):
-        orbits = real(moves, free)
+        # the fixed orbits stay last: searched first, the identity's orbit
+        # would find every clique, each with weight 1
+        *moved, c0, identity = real(moves, free)
         if order == "reversed":
-            return orbits[::-1]
-        random.Random(n).shuffle(orbits)
-        return orbits
+            moved.reverse()
+        else:
+            random.Random(n).shuffle(moved)
+        return moved + [c0, identity]
 
     monkeypatch.setattr(enumeration, "_vertex_orbits", reorder)
     other, other_witnesses, other_largest = _orbit_results(n)
@@ -427,11 +442,27 @@ def test_orbit_search_does_not_depend_on_the_orbit_order(
     assert sl.enumerate_maximal_semilattices(n, cap=6) == listing_by_n[n]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_fixed_vertices_are_the_last_orbits(n):
+    # G fixes c_0 and the identity and no other sink-0 idempotent, so they
+    # are the singleton orbits, searched last
+    search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
+    vertices = search.verifier.vertices
+    orbits = enumeration._vertex_orbits(search.moves, (1 << len(vertices)) - 1)
+    singletons = [o for o in orbits if o.bit_count() == 1]
+    fixed = [vertices[o.bit_length() - 1] for o in singletons]
+    assert fixed == [sl.constant(n, 0), sl.identity(n)]
+    assert orbits[-2:] == singletons
+    assert search.fixed == singletons[0] | singletons[1]
+
+
 def test_orbit_search_checks_every_clique_is_maximal(monkeypatch):
-    # the universal pair {c_0, identity} alone, credited to the first orbit
-    monkeypatch.setattr(
-        enumeration, "_orbit_cliques", lambda rows, base, orbits: [(base, orbits[0])]
-    )
+    # the two singleton orbits {c_0} and {identity} as one clique, credited
+    # to c_0's orbit
+    def pair(rows, orbits):
+        return [(orbits[-2] | orbits[-1], orbits[-2])]
+
+    monkeypatch.setattr(enumeration, "_orbit_cliques", pair)
     with pytest.raises(RuntimeError) as err:
         enumeration._sink_zero_orbits(4, None)
     message = str(err.value)
@@ -446,8 +477,8 @@ def test_orbit_search_rejects_a_count_that_is_not_an_integer(monkeypatch):
     # of which it holds 2: weight 3/2
     real = enumeration._orbit_cliques
 
-    def once_more(rows, base, orbits):
-        found = list(real(rows, base, orbits))
+    def once_more(rows, orbits):
+        found = list(real(rows, orbits))
         clique, orbit = next((c, o) for c, o in found if (c & o).bit_count() == 2)
         outside = orbit & ~clique
         return found + [(clique, clique & orbit | outside & -outside)]
