@@ -25,6 +25,8 @@ from .semilattice import PosetRelation, Semilattice
 from .transform import Transformation
 
 _HEADER_RE = re.compile(r"^n=([0-9]+)(?:\s+t=([0-9]+))?\s+size=([0-9]+)$")
+# ASCII digit tokens; \s is exactly the characters str.isspace() accepts
+_WORD_RE = re.compile(r"[0-9]+(?:\s+[0-9]+)*")
 
 
 class ParseError(ValueError):
@@ -59,10 +61,9 @@ def parse_transformations(text: str) -> ParsedFile:
                 if t is not None and int(t) >= n:
                     raise ParseError(lineno, f"t={int(t)} outside [0, {n})")
                 continue
-        tokens = line.split()
-        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        if not _WORD_RE.fullmatch(line):
             raise ParseError(lineno, f"not an image word: {line!r}")
-        images = tuple(map(int, tokens))
+        images = tuple(map(int, line.split()))
         if n is None:
             n = len(images)
         elif len(images) != n:

@@ -3,7 +3,10 @@
 A subsemilattice of T(n) is a nonempty set of idempotents that pairwise
 commute and is closed under composition.  :func:`verify_semilattice` is the
 checked constructor; :func:`find_violation` is the same check as a pure
-inspection that names the failing axiom and elements.
+inspection that names the failing axiom and elements.  Both, and the
+natural order and maximality test, compose members naively, point by point,
+over the image tables as ``bytes`` (:func:`~semilat.transform.byte_tables`),
+so each product is one ``bytes.translate`` call.
 
 The extremal examples are the "collapse" semilattices: fix a sink point t,
 and for each subset A of the remaining points take the map fixing A pointwise
@@ -19,6 +22,8 @@ from typing import Iterable, Optional
 
 from .transform import (
     Transformation,
+    byte_tables,
+    check_listable,
     check_points,
     enumerate_idempotents,
     points,
@@ -62,23 +67,23 @@ def _canonical(n: int, elements: Iterable[Transformation]) -> tuple[Transformati
 def _first_violation(elems: tuple[Transformation, ...]) -> Optional[Violation]:
     """:func:`find_violation` on a canonical carrier.
 
-    Composes the members' image tables naively, ``[b[y] for y in a]``; only
-    a reported witness becomes a :class:`Transformation`.
+    Composes the members' image tables naively, point by point, as bytes:
+    ``a.translate(tb)`` is a then b, each pair both ways.  Only a reported
+    witness becomes a :class:`Transformation`.
     """
     if not elems:
         raise ValueError("empty candidate")
-    tables = [e.images for e in elems]
-    present = set(tables)
-    for e, a in zip(elems, tables):
-        if any(a[y] != y for y in a):
+    words, tables = byte_tables(elems)
+    present = set(words)
+    for e, a, ta in zip(elems, words, tables):
+        if a.translate(ta) != a:
             return Violation("idempotence", (e,))
-    for i, a in enumerate(tables):
-        for j in range(i + 1, len(tables)):
-            b = tables[j]
-            ab = [b[y] for y in a]
-            if ab != [a[y] for y in b]:
+    for i, (a, ta) in enumerate(zip(words, tables)):
+        for j in range(i + 1, len(words)):
+            ab = a.translate(tables[j])
+            if ab != words[j].translate(ta):
                 return Violation("commutativity", (elems[i], elems[j]))
-            if tuple(ab) not in present:
+            if ab not in present:
                 return Violation(
                     "closure", (elems[i], elems[j]), product=Transformation(len(a), ab)
                 )
@@ -90,7 +95,8 @@ def find_violation(n: int, elements: Iterable[Transformation]) -> Optional[Viola
 
     Checks idempotence element by element, then commutativity and closure pair
     by pair, all in canonical order, so the reported witness is deterministic.
-    Pairs are multiplied by naive composition of their image tables.
+    Pairs are multiplied by naive composition of their image tables, point
+    by point, over the tables as bytes.
     """
     return _first_violation(_canonical(n, elements))
 
@@ -178,10 +184,11 @@ class PosetRelation:
 def natural_order(s: Semilattice) -> PosetRelation:
     """The order ``a ≤ b iff a = ab``; composition realizes the meet.
 
-    Each product is a naive composition of image tables.
+    Each product is a naive composition of image tables, point by point, as
+    bytes: ``a.translate(tb)``.
     """
-    tables = [list(e.images) for e in s.elements]
-    leq = tuple(tuple(a == [b[y] for y in a] for b in tables) for a in tables)
+    words, tables = byte_tables(s.elements)
+    leq = tuple(tuple(a == a.translate(tb) for tb in tables) for a in words)
     return PosetRelation(s.elements, leq)
 
 
@@ -249,11 +256,34 @@ def is_maximal(s: Semilattice) -> MaximalityResult:
     commuting with every common centralizer), so a single extender decides
     maximality.  The witness is the first extender in canonical order: the
     first non-member of the carrier's centralizer among the idempotents.
+
+    Only the centralizer of the generators (:func:`_generators`) is
+    listed: whatever commutes with a and with b commutes with ab, so it is
+    the carrier's centralizer, in the same order.  T(n) is refused above
+    ``MAX_IDEMPOTENT_POINTS`` points before any product is formed.
     """
+    check_listable(s.n)
     members = set(s.elements)
-    centralizer = enumerate_idempotents(s.n, s.elements)
+    centralizer = enumerate_idempotents(s.n, _generators(s))
     witness = next((f for f in centralizer if f not in members), None)
     return MaximalityResult(witness is None, witness)
+
+
+def _generators(s: Semilattice) -> tuple[Transformation, ...]:
+    """The members that are not the product of two other members, in carrier
+    order.  They generate ``s``: a member that is the product ab of two
+    others lies strictly below both a and b in the natural order, so by
+    induction from the top every member is a product of generators.  Each
+    product is a naive composition of image tables, point by point, as bytes.
+    """
+    words, tables = byte_tables(s.elements)
+    products = set()
+    for i, a in enumerate(words):
+        for j in range(i + 1, len(words)):
+            ab = a.translate(tables[j])
+            if ab != a and ab != words[j]:
+                products.add(ab)
+    return tuple(e for e, a in zip(s.elements, words) if a not in products)
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,12 @@ class Transformation:
             raise ValueError(
                 f"expected {self.n} image entries, got {len(self.images)}"
             )
-        for x, y in enumerate(self.images):
-            if not 0 <= y < self.n:
-                raise ValueError(f"image of point {x} is {y}, outside [0, {self.n})")
+        if not (0 <= min(self.images) and max(self.images) < self.n):
+            for x, y in enumerate(self.images):
+                if not 0 <= y < self.n:
+                    raise ValueError(
+                        f"image of point {x} is {y}, outside [0, {self.n})"
+                    )
 
     def word(self) -> str:
         """The map as a whitespace-separated image word, e.g. ``"0 0 2"``."""
@@ -77,6 +80,20 @@ def compose(a: Transformation, b: Transformation) -> Transformation:
         raise ValueError(f"ground-set mismatch: {a.n} vs {b.n}")
     bi = b.images
     return Transformation(a.n, tuple(bi[y] for y in a.images))
+
+
+def byte_tables(
+    maps: Iterable[Transformation],
+) -> tuple[list[bytes], list[bytes]]:
+    """The maps' image tables as ``bytes`` (their byte words), and each one
+    padded with zeros to the 256 bytes that ``bytes.translate`` takes.
+
+    If ``a`` is map a's byte word and ``tb`` is map b's padded table, then
+    ``a.translate(tb)`` is the byte word of ``compose(a, b)``: the same naive
+    composition, point by point, with the loop run in C.
+    """
+    words = [bytes(a.images) for a in maps]
+    return words, [w.ljust(256, b"\0") for w in words]
 
 
 def is_idempotent(a: Transformation) -> bool:
@@ -129,6 +146,18 @@ def commuting_masks(
     return tuple(out)
 
 
+def check_listable(n: int) -> None:
+    """Reject a ground set whose idempotents are too many to list: n outside
+    [1, ``MAX_IDEMPOTENT_POINTS``]."""
+    check_points(n)
+    if n > MAX_IDEMPOTENT_POINTS:
+        count = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
+        raise ValueError(
+            f"T({n}) has {count} idempotents, too many to list "
+            f"(n must be at most {MAX_IDEMPOTENT_POINTS})"
+        )
+
+
 def enumerate_idempotents(
     n: int, commuting_with: Iterable[Transformation] = ()
 ) -> tuple[Transformation, ...]:
@@ -140,13 +169,7 @@ def enumerate_idempotents(
     once f(p) and f(e[p]) are assigned.  The full list grows too fast to
     build above ``MAX_IDEMPOTENT_POINTS`` points.
     """
-    check_points(n)
-    if n > MAX_IDEMPOTENT_POINTS:
-        count = sum(comb(n, k) * k ** (n - k) for k in range(1, n + 1))
-        raise ValueError(
-            f"T({n}) has {count} idempotents, too many to list "
-            f"(n must be at most {MAX_IDEMPOTENT_POINTS})"
-        )
+    check_listable(n)
     # due[x]: the equations (e, p, e[p]) decided once f(0..x) are assigned
     due: list[list] = [[] for _ in range(n)]
     for e in commuting_with:

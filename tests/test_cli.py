@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semilat as sl
 from semilat import formats
@@ -692,6 +693,33 @@ def test_parse_accepts_only_ascii_digits(capsys, monkeypatch, stdin, line):
     assert run(capsys, "verify", "--in", "-") == (
         2, "", f"error: line 1: not an image word: {line!r}\n"
     )
+
+
+def _token_word_error(text):
+    """The first content line that is not a word of ASCII digit tokens, by
+    the per-token predicate: (line number, error text), or None."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line and not all(t.isascii() and t.isdigit() for t in line.split()):
+            return lineno, f"line {lineno}: not an image word: {line!r}"
+    return None
+
+
+@settings(max_examples=500)
+@given(st.lists(st.text("0123456789 \t\u00a0\u2003\x1c+-_\u0663#", max_size=10),
+                min_size=1, max_size=4))
+def test_parse_rejects_the_words_the_token_predicate_rejects(lines):
+    text = "\n".join(lines)
+    expected = _token_word_error(text)
+    try:
+        formats.parse_transformations(text)
+    except formats.ParseError as exc:
+        if "not an image word" in str(exc):
+            assert (exc.lineno, str(exc)) == expected
+        else:  # an entry count or range error, on a line both accept
+            assert expected is None or expected[0] > exc.lineno
+    else:
+        assert expected is None
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 """Semilattice verification, order structure, and the collapse families."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import semilat as sl
 from semilat import Transformation as T
+from semilat import semilattice
 
 
 def test_verify_accepts_singleton():
@@ -72,6 +75,29 @@ def test_natural_order_of_collapse_family():
         assert order.leq[j][top]
 
 
+def _reference_natural_order(s):
+    """``a ≤ b iff a = ab``, composing the image tables in a list
+    comprehension."""
+    tables = [e.images for e in s.elements]
+    return tuple(tuple(a == tuple(b[y] for y in a) for b in tables) for a in tables)
+
+
+def test_natural_order_matches_the_reference_on_every_enumerated_family(
+    oracle_by_n, maximal_by_n
+):
+    families = [s for n in (1, 2, 3) for s in oracle_by_n[n]]
+    families += [s for n in range(1, 6) for s in maximal_by_n[n]]
+    for s in families:
+        assert sl.natural_order(s).leq == _reference_natural_order(s)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 15), st.integers(1, 64))
+def test_natural_order_matches_the_reference_on_sixteen_points(t, m):
+    s = sl.semilattice_of_size(16, t, m)
+    assert sl.natural_order(s).leq == _reference_natural_order(s)
+
+
 def test_poset_relation_rejects_non_posets():
     with pytest.raises(ValueError):
         sl.PosetRelation((0, 1), ((True, True), (True, True)))  # not antisymmetric
@@ -110,10 +136,33 @@ def _candidate(draw):
     return n, tables
 
 
-@settings(max_examples=400)
-@given(_candidate())
-def test_find_violation_matches_the_reference_on_tables(candidate):
-    n, tables = candidate
+@st.composite
+def _wide_candidate(draw):
+    """A nonempty list of image tables on n <= 16 points, so the high points
+    and the padding of the byte tables are reached: part of the collapse
+    maps with sink t that keep subsets of up to four points (valid families
+    and closure failures), random idempotents (commutativity failures) and
+    random maps, in random order."""
+    n = draw(st.integers(1, 16))
+    t = draw(st.integers(0, n - 1))
+    keep = draw(st.sets(st.integers(0, n - 1), max_size=4)) - {t}
+    family = [
+        sl.collapse_map(n, t, kept).images
+        for k in range(len(keep) + 1)
+        for kept in combinations(keep, k)
+    ]
+    chosen = draw(st.lists(st.sampled_from(family), unique=True))
+    for _ in range(draw(st.integers(0, 1))):
+        fixed = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        chosen.append(
+            tuple(x if x in fixed else draw(st.sampled_from(fixed)) for x in range(n))
+        )
+    maps = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=1))
+    tables = draw(st.permutations(chosen + maps)) or [family[0]]
+    return n, tables
+
+
+def _check_violation_against_the_reference(n, tables):
     expected = _reference_violation(n, tables)
     v = sl.find_violation(n, [T(n, a) for a in tables])
     got = None if v is None else (
@@ -130,6 +179,18 @@ def test_find_violation_matches_the_reference_on_tables(candidate):
             sl.verify_semilattice(n, [T(n, a) for a in tables])
         assert exc.value.violation == v
         assert str(exc.value) == v.describe()
+
+
+@settings(max_examples=400)
+@given(_candidate())
+def test_find_violation_matches_the_reference_on_tables(candidate):
+    _check_violation_against_the_reference(*candidate)
+
+
+@settings(max_examples=300)
+@given(_wide_candidate())
+def test_find_violation_matches_the_reference_on_wide_tables(candidate):
+    _check_violation_against_the_reference(*candidate)
 
 
 def _reference_poset_error(leq):
@@ -344,6 +405,32 @@ def test_is_maximal_witness_is_the_first_extender(maximal_by_n):
 @pytest.mark.slow
 def test_is_maximal_witness_is_the_first_extender_n6():
     _check_witnesses(6, _sized_families(6))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generators_of_the_collapse_family_are_the_identity_and_coatoms(n):
+    for t in range(n):
+        others = {x for x in range(n) if x != t}
+        coatoms = [sl.collapse_map(n, t, others - {x}) for x in others]
+        expected = sorted([sl.identity(n), *coatoms], key=lambda e: e.images)
+        assert semilattice._generators(sl.collapse_semilattice(n, t)) == tuple(
+            expected
+        )
+
+
+def test_is_maximal_refuses_n_above_8_before_any_product(monkeypatch):
+    s = sl.collapse_semilattice(12, 0)
+
+    def fail(maps):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(semilattice, "byte_tables", fail)
+    with pytest.raises(
+        ValueError,
+        match=r"^T\(12\) has 157329097 idempotents, too many to list "
+        r"\(n must be at most 8\)$",
+    ):
+        sl.is_maximal(s)
 
 
 def test_boolean_lattice_on_collapse_families():

@@ -28,6 +28,8 @@ def test_make_transformation_examples():
         T(3, [0, 1])
     with pytest.raises(ValueError):
         T(2, [0, -1])
+    with pytest.raises(ValueError, match=r"^image of point 1 is 3, outside \[0, 3\)$"):
+        T(3, (0, 3, -1))
     with pytest.raises(ValueError):
         T(17, list(range(17)))
 
