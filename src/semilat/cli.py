@@ -10,11 +10,14 @@ binds no stream: usage and help go to whatever ``sys.stderr`` and
 Each handler takes the parsed argparse namespace, calls the library, which
 checks every argument (n, t, m, the cap, input files), and returns its exit
 status and its output, writing nothing.  The output is text, a JSON object,
-or an iterable of text chunks: the long listings (``enumerate``, and
-``idempotents`` as text) are computed and verified in the handler, and only
-their rendering is deferred to chunks made as they are written, so no
-whole-listing string is held.  :func:`main` is the one place that writes
-command output: it renders a JSON object with ``formats.dumps`` and writes
+or an iterable of text chunks, for the long listings: ``enumerate``, and
+``idempotents`` as text.  The ``enumerate`` handler runs the search and
+checks every sink-0 family by naive composition before it returns; only the
+conjugation of those families to the other sinks, their ranking and sorting,
+one size class at a time, and the rendering are deferred to chunks made as
+they are written, so neither the whole listing's string nor its families as
+objects are held.  :func:`main` is the one place that writes command
+output: it renders a JSON object with ``formats.dumps`` and writes
 the chunks to stdout, or to ``--out``, which it opens only once every check
 has passed, so a failed command leaves no file.  The CLI checks one argument
 itself, before any handler runs: ``--annotate`` needs ``--format json``,
@@ -22,8 +25,10 @@ the only format that carries the annotations.  :func:`main` maps that
 ``ValueError``, and the library's ``ValueError`` or ``OSError``, to exit
 status 2.
 Exit status 0 on success or PASS, 1 on a verification FAIL, 2 on usage or
-input errors.  Enumerating subcommands take ``--cap`` to lift the default
-enumeration cap, up to the library's hard maximum.
+input errors, and 141 (128 + SIGPIPE), with nothing printed, when the reader
+of stdout closes it before the output is written, as ``| head`` does.
+Enumerating subcommands take ``--cap`` to lift the default enumeration cap,
+up to the library's hard maximum.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 from collections.abc import Iterable
 
@@ -168,10 +174,10 @@ def _cmd_order(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Output:
-    semis = enumerate_maximal_semilattices(args.n, cap=args.cap)
+    listing = enumerate_maximal_semilattices(args.n, cap=args.cap)
     if args.format == "json":
-        return 0, formats.listing_to_json(args.n, semis)
-    return 0, formats.listing_to_text(args.n, semis)
+        return 0, formats.listing_to_json(listing)
+    return 0, formats.listing_to_text(listing)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> _Output:
@@ -261,7 +267,13 @@ def main(argv=None) -> int:
             output = formats.dumps(output)
         chunks = (output,) if isinstance(output, str) else output
         if args.output_path in (None, "-"):
-            sys.stdout.writelines(chunks)
+            try:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader has gone; stdout's flush at exit must not fail too
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 141
         else:
             with open(args.output_path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)

@@ -5,7 +5,7 @@ to its sink t (the anchor lemma), and conjugating by the transposition (0 t)
 of the points maps the families with sink 0 one-to-one onto those with sink
 t.  So the search runs only on the idempotents that fix 0, which is c_0's
 closed neighbourhood in the commuting graph, and the other sinks are got by
-conjugation in :func:`_with_conjugates`.
+conjugation in :class:`Listing`.
 
 The substrate is the commuting graph over those idempotents: vertices in
 canonical order, adjacency decided by :func:`commuting_masks`, the block-wise
@@ -18,10 +18,11 @@ subsemilattice generates a strictly larger one.  c_0 is adjacent to every
 vertex of its neighbourhood, so the maximal cliques there are exactly the
 maximal cliques of the whole graph that contain c_0.  Every clique is
 re-verified axiom by axiom on a route that never reads the graph: naive
-composition of the vertices' image tables, memoised per pair of vertex
-indices.  The test suite keeps the oracles: a brute-force subset filter at
-n <= 3, a direct search over every sink-0 clique, and the full graph over all
-idempotents, which checks the sink-0 reduction and the conjugation.
+composition of the vertices' image tables, one ``bytes.translate`` call per
+product (:func:`byte_tables`), memoised per pair of vertex indices.  The test
+suite keeps the oracles: a brute-force subset filter at n <= 3, a direct
+search over every sink-0 clique, and the full graph over all idempotents,
+which checks the sink-0 reduction and the conjugation.
 
 Cliques are enumerated by pivoted recursive expansion with candidate and
 excluded sets held as bit vectors indexed by vertex index, in one search,
@@ -31,13 +32,16 @@ G-orbit of vertices: one search per orbit, each found clique weighted by the
 share of that orbit it holds.  c_0 and the identity, which G fixes, are two
 of those orbits.  The spectrum reads the weighted counts; the listing and
 the largest families expand the found cliques under G (101 cliques at
-n = 6, for 3761 sink-0 families).  Families stay checked bit vectors until
-:func:`_with_conjugates` builds each listed family once.
+n = 6, for 3761 sink-0 families).  Every expanded family is checked as it
+is expanded, before the listing is returned.  A :class:`Listing` holds them
+as bit vectors, grouped by size, and conjugates, ranks and sorts them one
+size class at a time, as they are read.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm
@@ -51,6 +55,7 @@ from .semilattice import (
 )
 from .transform import (
     Transformation,
+    byte_tables,
     check_points,
     commuting_masks,
     constant,
@@ -155,27 +160,27 @@ class _CliqueVerifier:
     """The semilattice axioms for cliques given as bit vectors over a vertex list.
 
     Independent of the block test that builds the commuting graph: pairs are
-    multiplied by naive composition of their image tables, and the product is
-    looked up by image table.  Each pair's outcome is memoised in a row of
-    signed 16-bit entries, allocated the first time its vertex leads a pair;
-    16 bits index every sink-0 vertex list up to n = 8 (537 vertices at
-    n = 6, 3100 at n = 7, 19 693 at n = 8).
+    multiplied by naive composition of their image tables, one
+    ``bytes.translate`` call each way over :func:`byte_tables`, and the
+    product is looked up by its byte word.  Each pair's outcome is memoised
+    in a row of signed 16-bit entries, allocated the first time its vertex
+    leads a pair; 16 bits index every sink-0 vertex list up to n = 8 (537
+    vertices at n = 6, 3100 at n = 7, 19 693 at n = 8).
     """
 
     def __init__(self, n: int, vertices: tuple[Transformation, ...]):
         self.n = n
         self.vertices = vertices
-        self._images = [v.images for v in vertices]
-        self._index = {images: i for i, images in enumerate(self._images)}
+        self._words, self._tables = byte_tables(vertices)
+        self._index = {word: i for i, word in enumerate(self._words)}
         self._idempotent = [
-            all(a[a[x]] == a[x] for x in range(n)) for a in self._images
+            a.translate(ta) == a for a, ta in zip(self._words, self._tables)
         ]
         self._memo: list[array | None] = [None] * len(vertices)
 
     def _product(self, i: int, j: int) -> int:
-        a, b = self._images[i], self._images[j]
-        ab = tuple(b[y] for y in a)
-        if ab != tuple(a[y] for y in b):
+        ab = self._words[i].translate(self._tables[j])
+        if ab != self._words[j].translate(self._tables[i]):
             return _NOT_COMMUTING
         return self._index.get(ab, _NOT_A_VERTEX)
 
@@ -220,9 +225,9 @@ class _CliqueVerifier:
         return Semilattice(self.n, tuple(self.vertices[i] for i in points(clique)))
 
 
-def _relabellings(n: int, index: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+def _relabellings(n: int, index: dict[bytes, int]) -> list[tuple[int, ...]]:
     """How G, the (n-1)! permutations of the points that fix 0, moves each
-    vertex of ``index``, the verifier's image tables in vertex order: entry
+    vertex of ``index``, the verifier's byte words in vertex order: entry
     i holds the bit ``1 << p(i)`` for each p in G, in one fixed order of G.
     A permutation s relabels a map e as the map sending s(x) to s(e(x)); G
     is the closure, on the vertex indices, of (1 2) and (1 2 ... n-1)."""
@@ -230,7 +235,7 @@ def _relabellings(n: int, index: dict[tuple[int, ...], int]) -> list[tuple[int, 
     cycles = ((0, 2, 1, *range(3, n)), (0, *range(2, n), 1)) if n > 2 else ()
     for s in dict.fromkeys(cycles):  # one generator at n = 3
         inverse = sorted(range(n), key=s.__getitem__)
-        moved = [index[tuple([s[a[x]] for x in inverse])] for a in index]
+        moved = [index[bytes([s[a[x]] for x in inverse])] for a in index]
         steps.append(itemgetter(*moved))
     group = [tuple(range(len(index)))]
     seen = set(group)
@@ -332,9 +337,10 @@ class _SinkZeroOrbits:
 
     def largest(self) -> tuple[Semilattice, ...]:
         """The maximal subsemilattices of the largest size, canonically
-        ordered: the largest sink-0 families and their conjugates."""
+        ordered: the largest sink-0 families, each checked, and their
+        conjugates, ranked and built by :class:`Listing`."""
         top = self.families(max(self.counts))
-        return _with_conjugates(self.verifier.n, self.verifier.vertices, top)
+        return tuple(Listing(self.verifier.n, self.verifier.vertices, top))
 
 
 def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
@@ -392,49 +398,87 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
     return _SinkZeroOrbits(verifier, moves, fixed, tuple(c for c, _ in found), counts)
 
 
-def _with_conjugates(
-    n: int, vertices: tuple[Transformation, ...], cliques: list[int]
-) -> tuple[Semilattice, ...]:
-    """The sink-0 families ``cliques``, checked bit vectors over ``vertices``,
-    and their conjugates under (0 t) for t = 1..n-1, in canonical order.
+class Listing:
+    """Maximal subsemilattices of T(n), canonically ordered and held compactly:
+    checked sink-0 families and the ranks of their conjugates under (0 t).
 
-    Each vertex that a family holds is conjugated once per t (t = 0 is the
-    identity), and the conjugates are ranked once in image-table order.
-    Every family becomes its ascending tuple of ranks, which compare as the
-    carriers do, so one sort by size descending, then lexicographically, is
-    the canonical order; each family is then built once from its ranks."""
-    members = [points(c) for c in cliques]
-    held = sorted(set().union(*members))
-    tables = [vertices[i].images for i in held]
-    per_sink = []
-    for t in range(n):
-        swap = list(range(n))
-        swap[0], swap[t] = t, 0
-        per_sink.append([tuple([swap[a[y]] for y in swap]) for a in tables])
-    order = sorted(set().union(*per_sink))
-    rank = {c: r for r, c in enumerate(order)}
-    ranked = []
-    for conjugated in per_sink:
-        ranks = dict(zip(held, map(rank.__getitem__, conjugated)))
-        ranked += (tuple(sorted(map(ranks.__getitem__, m))) for m in members)
-    ranked.sort(key=lambda r: (-len(r), r))
-    maps = [Transformation(n, c) for c in order]
-    return tuple(Semilattice(n, tuple(map(maps.__getitem__, r))) for r in ranked)
+    ``maps`` is every conjugate of a held member, t = 0..n-1, in image-table
+    order, so a map's rank is its index there and ascending tuples of ranks
+    compare as the carriers do.  The families stay bit vectors over the
+    search's vertices, grouped by size, until they are read: :meth:`ranked`
+    conjugates, ranks and sorts one size class at a time, and iterating
+    builds each :class:`Semilattice` from its ranks.  ``len`` is the count,
+    n times the number of sink-0 families, known before any of that work.
+    """
+
+    def __init__(
+        self, n: int, vertices: tuple[Transformation, ...], families: list[int]
+    ):
+        self.n = n
+        by_size: dict[int, list[int]] = {}
+        union = 0
+        for clique in families:
+            by_size.setdefault(clique.bit_count(), []).append(clique)
+            union |= clique
+        self._classes = [by_size[size] for size in sorted(by_size, reverse=True)]
+        # each held member conjugated once per sink; t = 0 is the identity
+        held = points(union)
+        tables = [vertices[i].images for i in held]
+        per_sink = []
+        for t in range(n):
+            swap = list(range(n))
+            swap[0], swap[t] = t, 0
+            per_sink.append([tuple([swap[a[y]] for y in swap]) for a in tables])
+        self.maps = sorted(set().union(*per_sink))
+        rank = {c: r for r, c in enumerate(self.maps)}
+        self._ranks = [
+            dict(zip(held, map(rank.__getitem__, conjugated)))
+            for conjugated in per_sink
+        ]
+
+    def __len__(self) -> int:
+        return self.n * sum(map(len, self._classes))
+
+    def ranked(self) -> Iterator[tuple[int, ...]]:
+        """Every family as its ascending tuple of ranks into ``maps``, in
+        canonical order: size descending, then lexicographically.  Each size
+        class is conjugated to every sink, ranked and sorted only when the
+        one before it has been read."""
+        for cliques in self._classes:
+            members = list(map(points, cliques))
+            ranked = [
+                tuple(sorted(map(ranks.__getitem__, m)))
+                for ranks in self._ranks
+                for m in members
+            ]
+            ranked.sort()
+            yield from ranked
+
+    def __iter__(self) -> Iterator[Semilattice]:
+        maps = [Transformation(self.n, c) for c in self.maps]
+        for ranks in self.ranked():
+            yield Semilattice(self.n, tuple(map(maps.__getitem__, ranks)))
 
 
-def enumerate_maximal_semilattices(
-    n: int, cap: int | None = None
-) -> tuple[Semilattice, ...]:
+def enumerate_maximal_semilattices(n: int, cap: int | None = None) -> Listing:
     """Every maximal subsemilattice of T(n), verified and canonically ordered:
     the sink-0 families, the cliques of the search up to relabelling
     expanded under the permutations that fix 0, and their conjugates.
 
-    Output is sorted by size descending, then lexicographically on the carrier.
+    Every sink-0 family is checked by the naive-composition verifier before
+    this returns, and their number is checked against the search's
+    orbit-weighted count.  The conjugates are ranked and the families sorted
+    and built only as the returned :class:`Listing` is read: sorted by size
+    descending, then lexicographically on the carrier.
     """
     search = _sink_zero_orbits(n, cap)
-    vertices, cliques = search.verifier.vertices, search.families()
-    del search  # its memo rows and G table are not needed to conjugate
-    return _with_conjugates(n, vertices, cliques)
+    families = search.families()
+    if len(families) != sum(search.counts.values()):
+        raise RuntimeError(
+            f"the search expanded {len(families)} sink-0 families at n={n}, "
+            f"but its orbit-weighted count is {sum(search.counts.values())}"
+        )
+    return Listing(n, search.verifier.vertices, families)
 
 
 def max_size_semilattices(n: int, cap: int | None = None) -> tuple[Semilattice, ...]:

@@ -6,10 +6,11 @@ Transformations travel as whitespace-separated image words, one per line;
 All JSON is emitted with sorted keys and a fixed layout so identical runs
 are byte-identical: :func:`dumps`, except the enumerate listing, which
 :func:`listing_to_json` yields as text in the same layout, one chunk per
-family, so the CLI writes it without holding the whole listing; a distinct
-map's block is rendered once, and the tests pin the joined chunks
-byte-equal to :func:`dumps` of the dicts.  :func:`listing_to_text` yields
-the text listing the same way, each distinct map's line rendered once.
+family, so the CLI writes it without holding the whole listing; it reads the
+families as rank tuples, each map's block is rendered once, and the tests
+pin the joined chunks byte-equal to :func:`dumps` of the dicts.
+:func:`listing_to_text` yields the text listing the same way, each map's
+line rendered once.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .enumeration import SpectrumReport
+from .enumeration import Listing, SpectrumReport
 from .reduction import ReductionResult
 from .semilattice import PosetRelation, Semilattice
 from .transform import Transformation
@@ -106,52 +107,50 @@ def semilattice_to_dict(s: Semilattice, annotations: Optional[dict] = None) -> d
     return d
 
 
-def listing_to_json(n: int, semis: Sequence[Semilattice]) -> Iterator[str]:
+def listing_to_json(listing: Listing) -> Iterator[str]:
     """The enumerate listing as JSON, in chunks: the opening framing, one
     chunk per family, then the closing lines.  Joined, the chunks are byte
-    for byte :func:`dumps` of ``{"n": n, "count": len(semis),
-    "semilattices": [semilattice_to_dict(s), ...]}``, written as text
-    without building those dicts or the whole string.  ``semis`` is
-    nonempty, as every listing is.
+    for byte :func:`dumps` of ``{"n": n, "count": len(listing),
+    "semilattices": [semilattice_to_dict(s), ...]}``, written as text from
+    the listing's rank tuples, without building those dicts, the families
+    or the whole string.  Every listing is nonempty.
 
-    A map sits in many families, so each distinct map's indented block is
-    rendered once, keyed by its image table, and the fixed framing of
+    A map sits in many families, so each map's indented block is rendered
+    once, at its rank in ``listing.maps``, and the fixed framing of
     ``dumps`` joins the blocks.
     """
-    blocks: dict[tuple[int, ...], str] = {}
-    yield f'{{\n  "count": {len(semis)},\n  "n": {n},\n  "semilattices": [\n'
+    n = listing.n
+    blocks = [
+        "        [\n          "
+        + ",\n          ".join(map(str, images))
+        + "\n        ]"
+        for images in listing.maps
+    ]
+    yield f'{{\n  "count": {len(listing)},\n  "n": {n},\n  "semilattices": [\n'
     separator = ""
-    for s in semis:
-        rows = []
-        for e in s.elements:
-            block = blocks.get(e.images)
-            if block is None:
-                entries = ",\n          ".join(map(str, e.images))
-                block = blocks[e.images] = f"        [\n          {entries}\n        ]"
-            rows.append(block)
+    for ranks in listing.ranked():
         yield (
-            separator + '    {\n      "elements": [\n' + ",\n".join(rows)
-            + f'\n      ],\n      "n": {s.n}\n    }}'
+            separator + '    {\n      "elements": [\n'
+            + ",\n".join(map(blocks.__getitem__, ranks))
+            + f'\n      ],\n      "n": {n}\n    }}'
         )
         separator = ",\n"
     yield "\n  ]\n}\n"
 
 
-def listing_to_text(n: int, semis: Sequence[Semilattice]) -> Iterator[str]:
+def listing_to_text(listing: Listing) -> Iterator[str]:
     """The enumerate listing as text, in chunks: the header line, then one
     chunk per family, a blank line and the family as
-    :func:`format_semilattice_text` renders it.  Each distinct map's line is
-    rendered once, keyed by its image table."""
-    words: dict[tuple[int, ...], str] = {}
-    yield f"n={n} count={len(semis)}\n"
-    for s in semis:
-        rows = []
-        for e in s.elements:
-            word = words.get(e.images)
-            if word is None:
-                word = words[e.images] = e.word()
-            rows.append(word)
-        yield f"\n{semilattice_header(s)}\n" + "\n".join(rows) + "\n"
+    :func:`format_semilattice_text` renders it, written from the listing's
+    rank tuples.  Each map's line is rendered once, at its rank."""
+    n = listing.n
+    words = [" ".join(map(str, images)) for images in listing.maps]
+    yield f"n={n} count={len(listing)}\n"
+    for ranks in listing.ranked():
+        yield (
+            f"\nn={n} size={len(ranks)}\n"
+            + "\n".join(map(words.__getitem__, ranks)) + "\n"
+        )
 
 
 def reduction_to_dict(r: ReductionResult) -> dict:

@@ -13,5 +13,5 @@ def oracle_by_n():
 
 @pytest.fixture(scope="session")
 def maximal_by_n():
-    """Every maximal subsemilattice for n = 1..5 (cached across the session)."""
-    return {n: sl.enumerate_maximal_semilattices(n) for n in range(1, 6)}
+    """Every maximal subsemilattice for n = 1..5, built once for the session."""
+    return {n: tuple(sl.enumerate_maximal_semilattices(n)) for n in range(1, 6)}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semilat as sl
-from semilat import formats
+from semilat import enumeration, formats
 from semilat.cli import _ARGUMENTS, _COMMANDS, build_parser, main
 
 ET30_TEXT = "n=3 t=0 size=4\n0 0 0\n0 0 2\n0 1 0\n0 1 2\n"
@@ -183,7 +183,7 @@ def test_listing_renderer_equals_dumps_of_the_dicts(n):
         "count": len(semis),
         "semilattices": [formats.semilattice_to_dict(s) for s in semis],
     }
-    rendered = "".join(formats.listing_to_json(n, semis))
+    rendered = "".join(formats.listing_to_json(semis))
     expected = formats.dumps(listing)
     # compare an 80-character window around the first differing offset, so
     # a mismatch reports in seconds instead of diffing the whole listing
@@ -199,7 +199,7 @@ def test_text_listing_renderer_equals_the_per_family_rendering(n):
     reference = [f"n={n} count={len(semis)}\n"] + [
         "\n" + formats.format_semilattice_text(s) for s in semis
     ]
-    chunks = list(formats.listing_to_text(n, semis))
+    chunks = list(formats.listing_to_text(semis))
     assert len(chunks) == len(reference)
     for chunk, expected in zip(chunks, reference):
         assert chunk == expected
@@ -245,13 +245,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _peak_rss(*argv):
+def _cli_env():
+    """The environment for a child that imports this checkout's semilat."""
     env = dict(os.environ)
     src = str(Path(sl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def _peak_rss(*argv):
     done = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "semilat.cli", *argv],
-        env=env, capture_output=True, text=True, check=True,
+        env=_cli_env(), capture_output=True, text=True, check=True,
     )
     code, peak = map(int, done.stdout.split())
     assert code == 0
@@ -268,6 +273,61 @@ def test_enumerate_listing_peak_rss_is_below_twice_the_spectrum(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ENUMERATE_N6_JSON_SHA256
     histogram = _peak_rss("spectrum", "--n", "6", "--cap", "6")
     assert listing < 2 * histogram, (listing, histogram)
+
+
+def test_a_closed_pipe_ends_the_listing_quietly_with_141():
+    # the n = 5 listing (685 KB) overfills the pipe, so a write meets the
+    # closed end; 141 is 128 + SIGPIPE, as a shell reports a process that
+    # the signal ended
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semilat.cli", "enumerate", "--n", "5",
+         "--format", "json"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_the_cli_listings_build_no_semilattice(capsys, monkeypatch):
+    built = []
+
+    def record(self):
+        built.append(self)
+
+    monkeypatch.setattr(sl.Semilattice, "__post_init__", record)
+    for argv, head in (
+        ("enumerate --n 5 --format json", '{\n  "count": 1065,\n  "n": 5,\n'),
+        ("enumerate --n 5", "n=5 count=1065\n\nn=5 size=16\n"),
+    ):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err, out[: len(head)]) == (0, "", head)
+    assert built == []
+
+
+def test_a_rejected_family_stops_enumerate_before_any_output(
+    tmp_path, capsys, monkeypatch
+):
+    # the handler verifies every sink-0 family, here an expanded image that
+    # the search did not find itself, before main writes or opens anything
+    search = enumeration._sink_zero_orbits(4, None)
+    target = next(c for c in search.families() if c not in search.cliques)
+    real = enumeration._CliqueVerifier.violation
+
+    def reject(self, clique):
+        return "closure" if clique == target else real(self, clique)
+
+    monkeypatch.setattr(enumeration._CliqueVerifier, "violation", reject)
+    path = tmp_path / "enumerate4.txt"
+    for out in ([], ["--out", str(path)]):
+        with pytest.raises(RuntimeError, match="disagree at n=4 on the clique"):
+            main(["enumerate", "--n", "4", *out])
+        assert capsys.readouterr() == ("", "")
+        assert not path.exists()
 
 
 def test_spectrum_formats(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -152,7 +153,7 @@ def test_conjugated_listing_equals_the_full_graph_oracle(
 
 @pytest.mark.slow
 def test_optional_n6_conjugated_listing_equals_the_full_graph_oracle(n6_oracle):
-    assert sl.enumerate_maximal_semilattices(6, cap=6) == n6_oracle
+    assert tuple(sl.enumerate_maximal_semilattices(6, cap=6)) == n6_oracle
     assert sl.spectrum(6, cap=6) == _report_from(6, n6_oracle)
 
 
@@ -162,7 +163,7 @@ def test_conjugation_by_a_transposition_moves_the_collapse_sink():
         sink_zero = _sink_zero_bits(n, [sl.collapse_semilattice(n, 0)])
         collapse = [sl.collapse_semilattice(n, t) for t in range(n)]
         collapse.sort(key=canonical_key)
-        assert enumeration._with_conjugates(n, vertices, sink_zero) == tuple(collapse)
+        assert tuple(enumeration.Listing(n, vertices, sink_zero)) == tuple(collapse)
 
 
 def test_search_builds_only_the_sink_zero_graph(monkeypatch):
@@ -216,6 +217,47 @@ def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
     assert sorted(pairs) == [
         (i, j) for i, row in enumerate(graph.rows) for j in points(row) if i < j
     ]
+
+
+def _composed(vertices, i, j):
+    """What ``_CliqueVerifier._product`` returns, by composing image tuples:
+    the product's vertex index, or the code for a pair that does not commute
+    or a product outside the list."""
+    a, b = vertices[i].images, vertices[j].images
+    ab = tuple(b[y] for y in a)
+    if ab != tuple(a[y] for y in b):
+        return enumeration._NOT_COMMUTING
+    tables = [v.images for v in vertices]
+    return tables.index(ab) if ab in tables else enumeration._NOT_A_VERTEX
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verifier_products_equal_tuple_composition(n):
+    # every ordered pair at n <= 4, also over all idempotents but c_0, so
+    # that a commuting pair's product can fall outside the list; every edge
+    # of the sink-0 graph, both ways, at n = 5
+    sink_zero = sl.enumerate_idempotents(n, (sl.constant(n, 0),))
+    if n <= 4:
+        c0, *others = sl.enumerate_idempotents(n)
+        assert c0 == sl.constant(n, 0)
+        cases = [(vs, product(range(len(vs)), repeat=2)) for vs in (sink_zero, others)]
+    else:
+        rows = sl.build_commuting_graph(n, sink_zero).rows
+        edges = [(i, j) for i, row in enumerate(rows) for j in points(row)]
+        cases = [(sink_zero, edges)]
+    codes = Counter()
+    for vertices, pairs in cases:
+        verifier = enumeration._CliqueVerifier(n, tuple(vertices))
+        for i, j in pairs:
+            code = verifier._product(i, j)
+            assert code == _composed(vertices, i, j), (n, i, j)
+            codes[min(code, 0)] += 1
+    if n in (3, 4):
+        assert codes.keys() == {
+            0, enumeration._NOT_COMMUTING, enumeration._NOT_A_VERTEX
+        }
+    if n == 5:
+        assert codes == {0: 2 * 1298}
 
 
 def test_every_maximal_semilattice_has_exactly_one_constant(
@@ -412,7 +454,7 @@ def test_orbit_search_equals_the_incremental_listing(n):
 
 @pytest.fixture(scope="module")
 def listing_by_n():
-    return {n: sl.enumerate_maximal_semilattices(n, cap=6) for n in (4, 5, 6)}
+    return {n: tuple(sl.enumerate_maximal_semilattices(n, cap=6)) for n in (4, 5, 6)}
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
@@ -439,7 +481,7 @@ def test_orbit_search_does_not_depend_on_the_orbit_order(
     assert other_witnesses == witnesses
     assert other_largest == largest
     # the listing expands other cliques, and lists the same families
-    assert sl.enumerate_maximal_semilattices(n, cap=6) == listing_by_n[n]
+    assert tuple(sl.enumerate_maximal_semilattices(n, cap=6)) == listing_by_n[n]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -540,8 +582,40 @@ def test_the_listing_builds_each_family_once(monkeypatch):
         real(self)
 
     monkeypatch.setattr(sl.Semilattice, "__post_init__", record)
-    assert len(sl.enumerate_maximal_semilattices(5)) == 1065
+    assert len(tuple(sl.enumerate_maximal_semilattices(5))) == 1065
     assert built["semilattices"] == 1065
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_listing_length_is_known_before_it_is_read(monkeypatch, n):
+    counts = enumeration._sink_zero_orbits(n, 6).counts
+
+    def unread(self):
+        raise AssertionError("the listing was read")
+
+    monkeypatch.setattr(enumeration.Listing, "ranked", unread)
+    listing = sl.enumerate_maximal_semilattices(n, cap=6)
+    assert len(listing) == n * sum(counts.values())
+
+
+def test_a_listing_reads_the_same_twice():
+    listing = sl.enumerate_maximal_semilattices(4)
+    first = tuple(listing)
+    assert tuple(listing) == first
+    assert len(first) == len(listing) == 76
+
+
+def test_a_listing_that_misses_a_family_is_refused(monkeypatch):
+    # the expansion under G against the orbit-weighted count
+    real = enumeration._SinkZeroOrbits.families
+
+    def one_short(self, size=None):
+        return real(self, size)[1:]
+
+    monkeypatch.setattr(enumeration._SinkZeroOrbits, "families", one_short)
+    message = "expanded 18 sink-0 families at n=4, but its orbit-weighted count is 19"
+    with pytest.raises(RuntimeError, match=message):
+        sl.enumerate_maximal_semilattices(4)
 
 
 # The n = 7 line of the spectrum, as size:count over all maximal
@@ -572,6 +646,23 @@ def test_optional_n7_orbit_search_equals_the_direct_search(monkeypatch):
     assert set(expanded) == set(direct)
 
 
+# sha256 of the n = 7 JSON listing (893 MB), hashed as it is rendered
+N7_LISTING_JSON_SHA256 = (
+    "bc8751a3aa842b910c25713755c4cb78259202a0c1c8f175a2cd0b482e4a60eb"
+)
+
+
+@pytest.mark.slow
+def test_optional_n7_json_listing_is_frozen(monkeypatch):
+    monkeypatch.setattr(enumeration, "HARD_CAP", 7)
+    listing = sl.enumerate_maximal_semilattices(7, cap=7)
+    assert len(listing) == sum(N7_COUNTS.values())
+    digest = hashlib.sha256()
+    for chunk in formats.listing_to_json(listing):
+        digest.update(chunk.encode())
+    assert digest.hexdigest() == N7_LISTING_JSON_SHA256
+
+
 def test_enumeration_cap():
     with pytest.raises(sl.CapExceeded):
         sl.enumerate_maximal_semilattices(6)
@@ -600,8 +691,8 @@ def test_enumeration_rejects_n_below_one_before_any_work(monkeypatch):
 
 
 def test_enumeration_is_deterministic():
-    a = sl.enumerate_maximal_semilattices(3)
-    b = sl.enumerate_maximal_semilattices(3)
+    a = tuple(sl.enumerate_maximal_semilattices(3))
+    b = tuple(sl.enumerate_maximal_semilattices(3))
     assert a == b
     ja = formats.dumps([formats.semilattice_to_dict(s) for s in a])
     jb = formats.dumps([formats.semilattice_to_dict(s) for s in b])
