@@ -10,8 +10,8 @@ binds no stream: usage and help go to whatever ``sys.stderr`` and
 Each handler takes the parsed argparse namespace, calls the library, which
 checks every argument (n, t, m, the cap, input files), and returns its exit
 status and its output, writing nothing.  The output is text, a JSON object,
-or an iterable of text chunks, for the long listings: ``enumerate``, and
-``idempotents`` as text.  The ``enumerate`` handler runs the search and
+or an iterable of text chunks, for the long listings of ``enumerate`` and
+``idempotents``.  The ``enumerate`` handler runs the search and
 checks every sink-0 family by naive composition before it returns; only the
 conjugation of those families to the other sinks, their ranking and sorting,
 one size class at a time, and the rendering are deferred to chunks made as
@@ -100,11 +100,7 @@ def _render_semilattice(args: argparse.Namespace, s: Semilattice, t: int | None)
 def _cmd_idempotents(args: argparse.Namespace) -> _Output:
     idems = enumerate_idempotents(args.n)
     if args.format == "json":
-        return 0, {
-            "n": args.n,
-            "count": len(idems),
-            "idempotents": [list(e.images) for e in idems],
-        }
+        return 0, formats.idempotents_to_json(args.n, idems)
     header = f"n={args.n} count={len(idems)}\n"
     return 0, itertools.chain((header,), (e.word() + "\n" for e in idems))
 

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import compress
 from math import lcm
 from operator import itemgetter
 
+from ._record import Record
 from .semilattice import (
     Semilattice,
     collapse_semilattice,
@@ -80,21 +80,51 @@ def _check_cap(n: int, cap: int | None) -> None:
     check_points(n)
 
 
-@dataclass(frozen=True)
-class CommutingGraph:
+# The symmetry check lays rows end to end in bands of about this many bits,
+# one character each: 1 MB, so one band at n = 6 and ten at n = 7.
+_BAND_CHARS = 1 << 20
+
+
+class CommutingGraph(Record):
     """Symmetric, irreflexive adjacency over a list of idempotents.
 
-    ``rows[i]`` is the neighbor set of vertex i as a bit vector.
+    ``rows[i]`` is the neighbor set of vertex i as a bit vector.  The
+    constructor checks every bit of every row: each row is written as a
+    string of bits, lowest first, and for each band of rows, laid end to
+    end, the bits of column j, one per row, must equal the same span of row
+    j.  Only a graph that fails that is walked bit by bit, to name the first
+    row at fault and the first pair that is not mirrored.
     """
 
-    n: int
-    vertices: tuple[Transformation, ...]
-    rows: tuple[int, ...]
+    __slots__ = ("n", "vertices", "rows")
+
+    def __init__(
+        self, n: int, vertices: tuple[Transformation, ...], rows: tuple[int, ...]
+    ):
+        super().__init__(n, vertices, rows)
 
     def __post_init__(self):
         v = len(self.vertices)
         if len(self.rows) != v:
             raise ValueError("adjacency rows do not match the vertex list")
+        if not self._is_valid():
+            self._name_the_fault()
+
+    def _is_valid(self) -> bool:
+        v = len(self.rows)
+        if any((row >> i) & 1 or row >> v for i, row in enumerate(self.rows)):
+            return False
+        bits = [format(row, "b").zfill(v)[::-1] for row in self.rows]
+        band = 1 + _BAND_CHARS // (v or 1)
+        for start in range(0, v, band):
+            stop = start + band
+            flat = "".join(bits[start:stop])
+            if any(flat[j::v] != bits[j][start:stop] for j in range(v)):
+                return False
+        return True
+
+    def _name_the_fault(self):
+        v = len(self.rows)
         for i, row in enumerate(self.rows):
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} is adjacent to itself")
@@ -230,21 +260,26 @@ def _relabellings(n: int, index: dict[bytes, int]) -> list[tuple[int, ...]]:
     vertex of ``index``, the verifier's byte words in vertex order: entry
     i holds the bit ``1 << p(i)`` for each p in G, in one fixed order of G.
     A permutation s relabels a map e as the map sending s(x) to s(e(x)); G
-    is the closure, on the vertex indices, of (1 2) and (1 2 ... n-1)."""
+    is the closure of (1 2) and (1 2 ... n-1), walked on the points, where
+    each element is known by its n images, and applied to the vertex
+    indices once per element."""
     steps = []
     cycles = ((0, 2, 1, *range(3, n)), (0, *range(2, n), 1)) if n > 2 else ()
     for s in dict.fromkeys(cycles):  # one generator at n = 3
         inverse = sorted(range(n), key=s.__getitem__)
         moved = [index[bytes([s[a[x]] for x in inverse])] for a in index]
-        steps.append(itemgetter(*moved))
+        steps.append((itemgetter(*s), itemgetter(*moved)))
+    on_points = [tuple(range(n))]
     group = [tuple(range(len(index)))]
-    seen = set(group)
-    for p in group:  # the list grows as it is walked: a breadth-first closure
-        for step in steps:
-            q = step(p)  # p after the generator: i -> p(g(i))
-            if q not in seen:
-                seen.add(q)
-                group.append(q)
+    seen = set(on_points)
+    # the lists grow as they are walked: a breadth-first closure
+    for sigma, p in zip(on_points, group):
+        for on_point, on_vertex in steps:
+            tau = on_point(sigma)  # sigma after the generator: x -> sigma(g(x))
+            if tau not in seen:
+                seen.add(tau)
+                on_points.append(tau)
+                group.append(on_vertex(p))
     bits = [1 << i for i in range(len(index))]
     return list(zip(*(map(bits.__getitem__, p) for p in group)))
 
@@ -279,8 +314,7 @@ def _orbit_cliques(rows, orbits: list[int]):
         earlier |= orbit
 
 
-@dataclass(frozen=True)
-class _SinkZeroOrbits:
+class _SinkZeroOrbits(Record):
     """The maximal sink-0 cliques up to G, each verified, with the means to
     expand them under G.
 
@@ -288,11 +322,17 @@ class _SinkZeroOrbits:
     ``cliques`` holds at least one clique from each G-orbit of them.
     """
 
-    verifier: _CliqueVerifier
-    moves: list[tuple[int, ...]]  # from _relabellings
-    fixed: int  # the vertices G fixes: the union of the singleton orbits
-    cliques: tuple[int, ...]
-    counts: dict[int, int]
+    __slots__ = ("verifier", "moves", "fixed", "cliques", "counts")
+
+    def __init__(
+        self,
+        verifier: _CliqueVerifier,
+        moves: list[tuple[int, ...]],  # from _relabellings
+        fixed: int,  # the vertices G fixes: the union of the singleton orbits
+        cliques: tuple[int, ...],
+        counts: dict[int, int],
+    ):
+        super().__init__(verifier, moves, fixed, cliques, counts)
 
     def _images(self, clique: int):
         """The clique's image under each p in G, as a bit vector."""
@@ -524,25 +564,30 @@ def extremal_clauses(
     )
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    size: int
-    count: int
-    witness: Semilattice
+class SpectrumEntry(Record):
+    __slots__ = ("size", "count", "witness")
+
+    def __init__(self, size: int, count: int, witness: Semilattice):
+        super().__init__(size, count, witness)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Histogram of maximal-subsemilattice cardinalities, with witnesses.
 
     Which sizes occur is an open question; nothing here beyond the maximum
     row (size 2^(n-1), count n) is backed by a theorem.
     """
 
-    n: int
-    entries: tuple[SpectrumEntry, ...]  # ascending by size
-    total_maximal: int
-    max_size: int
+    __slots__ = ("n", "entries", "total_maximal", "max_size")
+
+    def __init__(
+        self,
+        n: int,
+        entries: tuple[SpectrumEntry, ...],  # ascending by size
+        total_maximal: int,
+        max_size: int,
+    ):
+        super().__init__(n, entries, total_maximal, max_size)
 
     def counts(self) -> dict[int, int]:
         return {e.size: e.count for e in self.entries}

@@ -4,22 +4,22 @@ Transformations travel as whitespace-separated image words, one per line;
 ``#`` starts a comment.  A semilattice file may carry a leading header line
 ``n=<N> [t=<T>] size=<K>``, with T < N and K the number of distinct maps.
 All JSON is emitted with sorted keys and a fixed layout so identical runs
-are byte-identical: :func:`dumps`, except the enumerate listing, which
-:func:`listing_to_json` yields as text in the same layout, one chunk per
-family, so the CLI writes it without holding the whole listing; it reads the
-families as rank tuples, each map's block is rendered once, and the tests
-pin the joined chunks byte-equal to :func:`dumps` of the dicts.
+are byte-identical: :func:`dumps`, except the two long listings, which
+:func:`listing_to_json` and :func:`idempotents_to_json` yield as text in the
+same layout, one chunk per family or map, so the CLI writes them without
+holding the whole listing; the enumerate listing is read as rank tuples,
+each map's block is rendered once, and the tests pin the joined chunks of
+both byte-equal to :func:`dumps` of the dicts.
 :func:`listing_to_text` yields the text listing the same way, each map's
 line rendered once.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections.abc import Iterator, Sequence
 
+from ._record import Record
 from .enumeration import Listing, SpectrumReport
 from .reduction import ReductionResult
 from .semilattice import PosetRelation, Semilattice
@@ -38,16 +38,17 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class ParsedFile:
-    n: int
-    transformations: tuple[Transformation, ...]
+class ParsedFile(Record):
+    __slots__ = ("n", "transformations")
+
+    def __init__(self, n: int, transformations: tuple[Transformation, ...]):
+        super().__init__(n, transformations)
 
 
 def parse_transformations(text: str) -> ParsedFile:
     """Parse an image-word file, honoring comments and an optional header."""
-    n: Optional[int] = None
-    announced: Optional[int] = None  # the header's size
+    n: int | None = None
+    announced: int | None = None  # the header's size
     seen_content = False
     out: list[Transformation] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -85,26 +86,48 @@ def parse_transformations(text: str) -> ParsedFile:
     return ParsedFile(n, tuple(out))
 
 
-def semilattice_header(s: Semilattice, t: Optional[int] = None) -> str:
+def semilattice_header(s: Semilattice, t: int | None = None) -> str:
     mid = f" t={t}" if t is not None else ""
     return f"n={s.n}{mid} size={len(s)}"
 
 
-def format_semilattice_text(s: Semilattice, t: Optional[int] = None) -> str:
+def format_semilattice_text(s: Semilattice, t: int | None = None) -> str:
     lines = [semilattice_header(s, t)]
     lines.extend(e.word() for e in s.elements)
     return "\n".join(lines) + "\n"
 
 
 def dumps(obj) -> str:
+    import json  # only the commands that write JSON load it
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def semilattice_to_dict(s: Semilattice, annotations: Optional[dict] = None) -> dict:
+def semilattice_to_dict(s: Semilattice, annotations: dict | None = None) -> dict:
     d: dict = {"n": s.n, "elements": [list(e.images) for e in s.elements]}
     if annotations is not None:
         d["annotations"] = annotations
     return d
+
+
+def _json_ints(values, indent: int) -> str:
+    """A nonempty list of ints laid out as :func:`dumps` lays it out when
+    the list sits ``indent`` spaces in."""
+    outer, inner = " " * indent, " " * (indent + 2)
+    return f"{outer}[\n{inner}" + f",\n{inner}".join(map(str, values)) + f"\n{outer}]"
+
+
+def idempotents_to_json(n: int, idempotents: Sequence[Transformation]) -> Iterator[str]:
+    """The ``idempotents`` listing as JSON, in chunks, one per map: joined,
+    byte for byte :func:`dumps` of ``{"n": n, "count": len(idempotents),
+    "idempotents": [list(e.images), ...]}``, without that dict or the whole
+    string.  Every listing is nonempty."""
+    yield f'{{\n  "count": {len(idempotents)},\n  "idempotents": [\n'
+    separator = ""
+    for e in idempotents:
+        yield separator + _json_ints(e.images, 4)
+        separator = ",\n"
+    yield f'\n  ],\n  "n": {n}\n}}\n'
 
 
 def listing_to_json(listing: Listing) -> Iterator[str]:
@@ -120,12 +143,7 @@ def listing_to_json(listing: Listing) -> Iterator[str]:
     ``dumps`` joins the blocks.
     """
     n = listing.n
-    blocks = [
-        "        [\n          "
-        + ",\n          ".join(map(str, images))
-        + "\n        ]"
-        for images in listing.maps
-    ]
+    blocks = [_json_ints(images, 8) for images in listing.maps]
     yield f'{{\n  "count": {len(listing)},\n  "n": {n},\n  "semilattices": [\n'
     separator = ""
     for ranks in listing.ranked():

@@ -12,9 +12,7 @@ sink-t collapse family when no point outside {t, u} is hit twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
+from ._record import Record
 from .semilattice import Semilattice, is_injective_except_sink, verify_semilattice
 from .transform import Transformation, is_idempotent
 
@@ -24,12 +22,13 @@ class ContractViolation(RuntimeError):
     type promised (or there is a bug upstream)."""
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(Record):
     """A pair (t, u): t is fixed by every element, u moves only to u or t."""
 
-    t: int
-    u: int
+    __slots__ = ("t", "u")
+
+    def __init__(self, t: int, u: int):
+        super().__init__(t, u)
 
     def __post_init__(self):
         if self.t == self.u:
@@ -72,18 +71,23 @@ def redirect(g: Transformation, anchor: Anchor) -> Transformation:
     return Transformation(g.n, tuple(t if y == u else y for y in g.images))
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     """The redirected image and its isomorphic copy on n-1 points.
 
     ``source_size <= 2 * |star_image|`` and ``|restricted| = |star_image|``
     are enforced on construction.
     """
 
-    anchor: Anchor
-    source_size: int
-    star_image: Semilattice
-    restricted: Semilattice
+    __slots__ = ("anchor", "source_size", "star_image", "restricted")
+
+    def __init__(
+        self,
+        anchor: Anchor,
+        source_size: int,
+        star_image: Semilattice,
+        restricted: Semilattice,
+    ):
+        super().__init__(anchor, source_size, star_image, restricted)
 
     def __post_init__(self):
         if self.source_size > 2 * len(self.star_image):
@@ -140,7 +144,7 @@ class EmbeddingHypothesisError(ValueError):
 
 def collapse_embedding(
     s: Semilattice, anchor: Anchor
-) -> Dict[Transformation, Transformation]:
+) -> dict[Transformation, Transformation]:
     """The injection of ``s`` into the sink-t collapse family.
 
     Requires the anchor to be valid for ``s`` and every point outside
@@ -160,7 +164,7 @@ def collapse_embedding(
         for x in range(s.n):
             if x != t and x != u and e.images.count(x) > 1:
                 raise EmbeddingHypothesisError(e, x)
-    out: Dict[Transformation, Transformation] = {}
+    out: dict[Transformation, Transformation] = {}
     for e in s.elements:
         images = tuple(
             t if (x != u and y == u) else y for x, y in enumerate(e.images)

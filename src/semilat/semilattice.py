@@ -17,9 +17,9 @@ isomorphic to the power set of the non-sink points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
+from ._record import Record, _set
 from .transform import (
     Transformation,
     byte_tables,
@@ -30,13 +30,18 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """A concrete witness that a candidate set is not a semilattice."""
 
-    axiom: str  # "idempotence" | "commutativity" | "closure"
-    elements: tuple[Transformation, ...]
-    product: Optional[Transformation] = None
+    __slots__ = ("axiom", "elements", "product")
+
+    def __init__(
+        self,
+        axiom: str,  # "idempotence" | "commutativity" | "closure"
+        elements: tuple[Transformation, ...],
+        product: Transformation | None = None,
+    ):
+        super().__init__(axiom, elements, product)
 
     def describe(self) -> str:
         words = ", ".join(e.word() for e in self.elements)
@@ -64,7 +69,7 @@ def _canonical(n: int, elements: Iterable[Transformation]) -> tuple[Transformati
     return tuple(elems)
 
 
-def _first_violation(elems: tuple[Transformation, ...]) -> Optional[Violation]:
+def _first_violation(elems: tuple[Transformation, ...]) -> Violation | None:
     """:func:`find_violation` on a canonical carrier.
 
     Composes the members' image tables naively, point by point, as bytes:
@@ -90,7 +95,7 @@ def _first_violation(elems: tuple[Transformation, ...]) -> Optional[Violation]:
     return None
 
 
-def find_violation(n: int, elements: Iterable[Transformation]) -> Optional[Violation]:
+def find_violation(n: int, elements: Iterable[Transformation]) -> Violation | None:
     """First axiom failure of a candidate set, or None if it is a semilattice.
 
     Checks idempotence element by element, then commutativity and closure pair
@@ -101,18 +106,23 @@ def find_violation(n: int, elements: Iterable[Transformation]) -> Optional[Viola
     return _first_violation(_canonical(n, elements))
 
 
-@dataclass(frozen=True)
-class Semilattice:
+class Semilattice(Record):
     """A subsemilattice of T(n), carried in canonical (lexicographic) order.
 
     Equality is set equality of the carriers.  The constructor enforces the
     structural invariants (nonempty, single ground set, sorted unique carrier);
     the algebraic axioms are the business of :func:`verify_semilattice`, which
-    is the constructor everything untrusted should go through.
+    is the constructor everything untrusted should go through.  Construction,
+    equality and hashing are written out here, as for
+    :class:`~semilat.transform.Transformation`.
     """
 
-    n: int
-    elements: tuple[Transformation, ...]
+    __slots__ = ("n", "elements")
+
+    def __init__(self, n: int, elements: tuple[Transformation, ...]):
+        _set(self, "n", n)
+        _set(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.elements:
@@ -126,6 +136,14 @@ class Semilattice:
             if prev is not None and prev.images >= e.images:
                 raise ValueError("carrier must be strictly sorted by image table")
             prev = e
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -151,8 +169,7 @@ def verify_semilattice(n: int, candidate: Iterable[Transformation]) -> Semilatti
     return Semilattice(n, elems)
 
 
-@dataclass(frozen=True)
-class PosetRelation:
+class PosetRelation(Record):
     """A partial order on an indexed carrier, as a boolean matrix.
 
     ``leq[i][j]`` means element i is below element j.  The constructor rejects
@@ -161,8 +178,10 @@ class PosetRelation:
     ascending, antisymmetry and the first point above j but not above i.
     """
 
-    carrier: tuple
-    leq: tuple[tuple[bool, ...], ...]
+    __slots__ = ("carrier", "leq")
+
+    def __init__(self, carrier: tuple, leq: tuple[tuple[bool, ...], ...]):
+        super().__init__(carrier, leq)
 
     def __post_init__(self):
         k = len(self.carrier)
@@ -239,10 +258,15 @@ def is_injective_except_sink(t: int, a: Transformation) -> bool:
     return all(counts[y] == 1 for y in set(a.images) if y != t)
 
 
-@dataclass(frozen=True)
-class MaximalityResult:
-    is_maximal: bool
-    witness: Optional[Transformation] = None  # an extending idempotent when not maximal
+class MaximalityResult(Record):
+    __slots__ = ("is_maximal", "witness")
+
+    def __init__(
+        self,
+        is_maximal: bool,
+        witness: Transformation | None = None,  # an extending idempotent when not maximal
+    ):
+        super().__init__(is_maximal, witness)
 
     def __bool__(self) -> bool:
         return self.is_maximal
@@ -286,16 +310,17 @@ def _generators(s: Semilattice) -> tuple[Transformation, ...]:
     return tuple(e for e, a in zip(s.elements, words) if a not in products)
 
 
-@dataclass(frozen=True)
-class BooleanLatticeResult:
+class BooleanLatticeResult(Record):
     """Outcome of the power-set recognition.
 
     ``atoms`` are the elements whose down-set is {bottom, itself}, in
     carrier order; they are reported whether or not the order is Boolean.
     """
 
-    is_boolean: bool
-    atoms: tuple[Transformation, ...]
+    __slots__ = ("is_boolean", "atoms")
+
+    def __init__(self, is_boolean: bool, atoms: tuple[Transformation, ...]):
+        super().__init__(is_boolean, atoms)
 
     def __bool__(self) -> bool:
         return self.is_boolean

@@ -8,9 +8,10 @@ means point x belongs), which keeps subset tests down to single mask ops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import comb
-from typing import Iterable, Sequence
+
+from ._record import Record, _set
 
 MAX_POINTS = 16  # masks must stay comfortably inside a machine word
 MAX_IDEMPOTENT_POINTS = 8  # T(8) has 41 393 idempotents, T(9) 293 608
@@ -32,21 +33,26 @@ def points(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(Record):
     """A total map [0, n) -> [0, n); ``images[x]`` is the image of point x.
 
     Value semantics: two transformations are equal iff their image tables are.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  Built for every map the search
+    and the checks make, so construction, equality and hashing are written
+    out here rather than inherited.
     """
 
-    n: int
-    images: tuple[int, ...]
+    __slots__ = ("n", "images")
+
+    def __init__(self, n: int, images: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         check_points(self.n)
         if not isinstance(self.images, tuple):
-            object.__setattr__(self, "images", tuple(self.images))
+            _set(self, "images", tuple(self.images))
         if len(self.images) != self.n:
             raise ValueError(
                 f"expected {self.n} image entries, got {len(self.images)}"
@@ -57,6 +63,14 @@ class Transformation:
                     raise ValueError(
                         f"image of point {x} is {y}, outside [0, {self.n})"
                     )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.images))
 
     def word(self) -> str:
         """The map as a whitespace-separated image word, e.g. ``"0 0 2"``."""

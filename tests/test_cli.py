@@ -175,6 +175,13 @@ def test_enumerate_text_and_json(capsys):
     assert payload["semilattices"][0]["elements"] == [[0, 0], [0, 1]]
 
 
+def _assert_same_text(rendered, expected):
+    # compare an 80-character window around the first differing offset, so
+    # a mismatch reports in seconds instead of diffing the whole listing
+    at = max(len(os.path.commonprefix([rendered, expected])) - 40, 0)
+    assert rendered[at : at + 80] == expected[at : at + 80]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_listing_renderer_equals_dumps_of_the_dicts(n):
     semis = sl.enumerate_maximal_semilattices(n)
@@ -183,12 +190,7 @@ def test_listing_renderer_equals_dumps_of_the_dicts(n):
         "count": len(semis),
         "semilattices": [formats.semilattice_to_dict(s) for s in semis],
     }
-    rendered = "".join(formats.listing_to_json(semis))
-    expected = formats.dumps(listing)
-    # compare an 80-character window around the first differing offset, so
-    # a mismatch reports in seconds instead of diffing the whole listing
-    at = max(len(os.path.commonprefix([rendered, expected])) - 40, 0)
-    assert rendered[at : at + 80] == expected[at : at + 80]
+    _assert_same_text("".join(formats.listing_to_json(semis)), formats.dumps(listing))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -203,6 +205,15 @@ def test_text_listing_renderer_equals_the_per_family_rendering(n):
     assert len(chunks) == len(reference)
     for chunk, expected in zip(chunks, reference):
         assert chunk == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_idempotent_listing_renderer_equals_dumps_of_the_dict(n):
+    idems = sl.enumerate_idempotents(n)
+    listing = {"n": n, "count": len(idems), "idempotents": [list(e.images) for e in idems]}
+    chunks = list(formats.idempotents_to_json(n, idems))
+    assert len(chunks) == len(idems) + 2
+    _assert_same_text("".join(chunks), formats.dumps(listing))
 
 
 ENUMERATE_N6_JSON_SHA256 = (
@@ -273,6 +284,42 @@ def test_enumerate_listing_peak_rss_is_below_twice_the_spectrum(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ENUMERATE_N6_JSON_SHA256
     histogram = _peak_rss("spectrum", "--n", "6", "--cap", "6")
     assert listing < 2 * histogram, (listing, histogram)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_idempotent_json_listing_peaks_near_the_text_listing():
+    # both are written map by map, so JSON holds no dict and no whole text
+    as_json = _peak_rss("idempotents", "--n", "8", "--format", "json")
+    as_text = _peak_rss("idempotents", "--n", "8")
+    assert as_json < as_text + 5 * 1024, (as_json, as_text)
+
+
+# Runs `semilat.cli.main(ARGV)` in an interpreter started without `site`,
+# which would load modules of its own, and names on stderr which of the
+# modules that semilat does without were loaded.
+_MODULES_LOADED = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import semilat.cli
+if sys.argv[2:]:
+    semilat.cli.main(sys.argv[2:])
+unused = ("dataclasses", "inspect", "json", "typing")
+print(*[m for m in unused if m in sys.modules], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), ""),
+    (("spectrum", "--n", "4"), ""),
+    (("spectrum", "--n", "4", "--format", "json"), "json"),
+])
+def test_the_cli_loads_json_only_to_write_json(argv, loaded):
+    src = str(Path(sl.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _MODULES_LOADED, src, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stderr.strip() == loaded
 
 
 def test_a_closed_pipe_ends_the_listing_quietly_with_141():

@@ -48,23 +48,53 @@ def test_graph_matches_naive_commuting_exhaustively():
         assert g.edge_count() == edges // 2
 
 
-def test_graph_validation_rejects_bad_rows():
+def _graph_with(n, *flips):
+    """The sink-0 graph of n points, its rows with the given (row, bit) flips."""
+    verts = sl.enumerate_idempotents(n, (sl.constant(n, 0),))
+    rows = list(sl.build_commuting_graph(n, verts).rows)
+    for i, j in flips:
+        rows[i] ^= 1 << j
+    return n, verts, tuple(rows)
+
+
+# Bands of 9 rows at n = 4 (23 vertices), one band at n = 2.
+SMALL_BANDS = 23 * 8
+
+
+def test_graph_validation_rejects_bad_rows(monkeypatch):
     verts = sl.enumerate_idempotents(2)
-    for rows, message in [
-        ((0b010, 0b100, 0b010), "adjacency not symmetric at 0, 1"),
-        ((0b000, 0b001, 0b000), "adjacency not symmetric at 1, 0"),
-        ((0b011, 0b101, 0b010), "vertex 0 is adjacent to itself"),
-        ((0b010, 0b101), "adjacency rows do not match the vertex list"),
-        ((0b010, 0b101, 0b010, 0b000), "adjacency rows do not match"),
-        ((0b010, 0b101, 0b1010), "row 2 mentions vertices beyond the list"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            sl.CommutingGraph(2, verts, rows)
+    cases = [
+        ((2, verts, (0b010, 0b100, 0b010)), "adjacency not symmetric at 0, 1"),
+        ((2, verts, (0b000, 0b001, 0b000)), "adjacency not symmetric at 1, 0"),
+        ((2, verts, (0b011, 0b101, 0b010)), "vertex 0 is adjacent to itself"),
+        ((2, verts, (0b010, 0b101)), "adjacency rows do not match the vertex list"),
+        ((2, verts, (0b010, 0b101, 0b010, 0b000)),
+         "adjacency rows do not match the vertex list"),
+        ((2, verts, (0b010, 0b101, 0b1010)), "row 2 mentions vertices beyond the list"),
+        # n = 4: one bit dropped above the diagonal and one below at the last
+        # vertex, a pair split across two bands of 9 rows, a loop and a stray
+        # bit at the last row, and two faults, where the earlier row is named
+        (_graph_with(4, (11, 22)), "adjacency not symmetric at 22, 11"),
+        (_graph_with(4, (22, 11)), "adjacency not symmetric at 11, 22"),
+        (_graph_with(4, (4, 12)), "adjacency not symmetric at 12, 4"),
+        (_graph_with(4, (12, 4)), "adjacency not symmetric at 4, 12"),
+        (_graph_with(4, (22, 22)), "vertex 22 is adjacent to itself"),
+        (_graph_with(4, (22, 23)), "row 22 mentions vertices beyond the list"),
+        (_graph_with(4, (21, 21), (3, 5)), "adjacency not symmetric at 3, 5"),
+    ]
+    for band_chars in (enumeration._BAND_CHARS, SMALL_BANDS):
+        monkeypatch.setattr(enumeration, "_BAND_CHARS", band_chars)
+        for graph, message in cases:
+            with pytest.raises(ValueError) as caught:
+                sl.CommutingGraph(*graph)
+            assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("i, j", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (11, 22), (22, 11), (4, 12), (12, 4)])
 def test_graph_build_rejects_an_asymmetric_block_test(monkeypatch, i, j):
-    # a block test that loses one bit of one row, above or below the diagonal
+    # a block test that loses one bit of one row, above or below the
+    # diagonal, at the last vertex or across two bands of 9 rows; the walk
+    # names the row that still holds the other half
     real = enumeration.commuting_masks
 
     def lose_a_bit(n, idempotents, maps):
@@ -75,8 +105,11 @@ def test_graph_build_rejects_an_asymmetric_block_test(monkeypatch, i, j):
     monkeypatch.setattr(enumeration, "commuting_masks", lose_a_bit)
     verts = sl.enumerate_idempotents(4, (sl.constant(4, 0),))
     assert sl.commutes(verts[i], verts[j])
-    with pytest.raises(ValueError, match="adjacency not symmetric"):
-        sl.build_commuting_graph(4, verts)
+    for band_chars in (enumeration._BAND_CHARS, SMALL_BANDS):
+        monkeypatch.setattr(enumeration, "_BAND_CHARS", band_chars)
+        with pytest.raises(ValueError) as caught:
+            sl.build_commuting_graph(4, verts)
+        assert str(caught.value) == f"adjacency not symmetric at {j}, {i}"
 
 
 def test_enumerate_n2_exact():
