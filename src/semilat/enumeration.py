@@ -19,7 +19,8 @@ vertex of its neighbourhood, so the maximal cliques there are exactly the
 maximal cliques of the whole graph that contain c_0.  Every clique is
 re-verified axiom by axiom on a route that never reads the graph: naive
 composition of the vertices' image tables, one ``bytes.translate`` call per
-product (:func:`byte_tables`), memoised per pair of vertex indices.  The test
+product (:func:`byte_tables`), by the same check as
+:func:`~semilat.semilattice.verify_semilattice`.  The test
 suite keeps the oracles: a brute-force subset filter at n <= 3, a direct
 search over every sink-0 clique, and the full graph over all idempotents,
 which checks the sink-0 reduction and the conjugation.
@@ -40,7 +41,6 @@ size class at a time, as they are read.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterator
 from itertools import compress
 from math import lcm
@@ -49,9 +49,10 @@ from operator import itemgetter
 from ._record import Record
 from .semilattice import (
     Semilattice,
+    _first_violation,
     collapse_semilattice,
     is_boolean_lattice,
-    verify_semilattice,
+    verify_semilattice,  # noqa: F401  perfbench/tracing.py wraps it by this name
 )
 from .transform import (
     Transformation,
@@ -180,84 +181,29 @@ def _bron_kerbosch(rows, r: int, p: int, x: int, out: list) -> None:
         x |= lsb
 
 
-# Codes stored in a product memo row in place of a vertex index.
-_UNSEEN = -1
-_NOT_COMMUTING = -2
-_NOT_A_VERTEX = -3  # the product is not idempotent, or not in the list
-
-
-class _CliqueVerifier:
-    """The semilattice axioms for cliques given as bit vectors over a vertex list.
-
-    Independent of the block test that builds the commuting graph: pairs are
-    multiplied by naive composition of their image tables, one
-    ``bytes.translate`` call each way over :func:`byte_tables`, and the
-    product is looked up by its byte word.  Each pair's outcome is memoised
-    in a row of signed 16-bit entries, allocated the first time its vertex
-    leads a pair; 16 bits index every sink-0 vertex list up to n = 8 (537
-    vertices at n = 6, 3100 at n = 7, 19 693 at n = 8).
-    """
-
-    def __init__(self, n: int, vertices: tuple[Transformation, ...]):
-        self.n = n
-        self.vertices = vertices
-        self._words, self._tables = byte_tables(vertices)
-        self._index = {word: i for i, word in enumerate(self._words)}
-        self._idempotent = [
-            a.translate(ta) == a for a, ta in zip(self._words, self._tables)
-        ]
-        self._memo: list[array | None] = [None] * len(vertices)
-
-    def _product(self, i: int, j: int) -> int:
-        ab = self._words[i].translate(self._tables[j])
-        if ab != self._words[j].translate(self._tables[i]):
-            return _NOT_COMMUTING
-        return self._index.get(ab, _NOT_A_VERTEX)
-
-    def violation(self, clique: int) -> str | None:
-        """The first axiom the clique breaks, in :func:`find_violation`'s
-        order and naming, or None if its members form a semilattice."""
-        members = points(clique)
-        for i in members:
-            if not self._idempotent[i]:
-                return "idempotence"
-        memo = self._memo
-        for k, i in enumerate(members):
-            row = memo[i]
-            if row is None:
-                row = memo[i] = array("h", [_UNSEEN]) * len(memo)
-            for j in members[k + 1 :]:
-                p = row[j]
-                if p == _UNSEEN:
-                    p = row[j] = self._product(i, j)
-                if p == _NOT_COMMUTING:
-                    return "commutativity"
-                if p < 0 or not (clique >> p) & 1:
-                    return "closure"
-        return None
-
-    def check(self, clique: int) -> None:
-        """Raise unless the clique's members form a semilattice: a rejected
-        clique goes through :func:`verify_semilattice`, whose
-        :class:`SemilatticeError` names the axiom and the elements."""
-        if self.violation(clique) is None:
-            return
-        members = tuple(self.vertices[i] for i in points(clique))
-        verify_semilattice(self.n, members)
-        raise RuntimeError(
-            f"the index verifier and verify_semilattice disagree at n={self.n} "
-            f"on the clique {[m.word() for m in members]}"
-        )
-
-    def semilattice(self, clique: int) -> Semilattice:
-        """The clique's members as a semilattice, after :meth:`check`."""
-        self.check(clique)
-        return Semilattice(self.n, tuple(self.vertices[i] for i in points(clique)))
+def _checked(
+    n: int, vertices: tuple[Transformation, ...], tables: tuple, clique: int, layer: str
+) -> tuple[Transformation, ...]:
+    """The members of ``clique``, a bit vector over ``vertices``, once their
+    slices of ``tables``, the vertices' :func:`byte_tables`, pass the one
+    axiom check, :func:`~semilat.semilattice._first_violation`.  Vertices
+    are in image-table order, so the members are a canonical carrier.  A
+    family the search emits that breaks an axiom is the search's fault:
+    RuntimeError names n, the ``layer`` and the violation."""
+    members = points(clique)
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    pick = itemgetter(*members) if len(members) > 1 else lambda seq: (seq[members[0]],)
+    elems, words, padded = map(pick, (vertices, *tables))
+    violation = _first_violation(elems, words, padded)
+    if violation is not None:
+        why = violation.describe()
+        raise RuntimeError(f"search emitted a non-semilattice {layer} at n={n}: {why}")
+    return elems
 
 
 def _relabellings(n: int, index: dict[bytes, int]) -> list[tuple[int, ...]]:
     """How G, the (n-1)! permutations of the points that fix 0, moves each
-    vertex of ``index``, the verifier's byte words in vertex order: entry
+    vertex of ``index``, the vertices' byte words in vertex order: entry
     i holds the bit ``1 << p(i)`` for each p in G, in one fixed order of G.
     A permutation s relabels a map e as the map sending s(x) to s(e(x)); G
     is the closure of (1 2) and (1 2 ... n-1), walked on the points, where
@@ -319,20 +265,26 @@ class _SinkZeroOrbits(Record):
     expand them under G.
 
     ``counts[size]`` is the number of sink-0 families of that size.
-    ``cliques`` holds at least one clique from each G-orbit of them.
+    ``cliques`` holds at least one clique from each G-orbit of them, as a
+    bit vector over ``vertices``, whose :func:`byte_tables` are ``tables``.
     """
 
-    __slots__ = ("verifier", "moves", "fixed", "cliques", "counts")
+    __slots__ = ("n", "vertices", "tables", "moves", "fixed", "cliques", "counts")
 
     def __init__(
         self,
-        verifier: _CliqueVerifier,
+        n: int,
+        vertices: tuple[Transformation, ...],
+        tables: tuple[list[bytes], list[bytes]],
         moves: list[tuple[int, ...]],  # from _relabellings
         fixed: int,  # the vertices G fixes: the union of the singleton orbits
         cliques: tuple[int, ...],
         counts: dict[int, int],
     ):
-        super().__init__(verifier, moves, fixed, cliques, counts)
+        super().__init__(n, vertices, tables, moves, fixed, cliques, counts)
+
+    def _checked(self, clique: int, layer: str) -> tuple[Transformation, ...]:
+        return _checked(self.n, self.vertices, self.tables, clique, layer)
 
     def _images(self, clique: int):
         """The clique's image under each p in G, as a bit vector."""
@@ -352,7 +304,7 @@ class _SinkZeroOrbits(Record):
             v: min(self.moves[v]) for c in found for v in points(c & ~self.fixed)
         }
         if not low:  # G fixes every member: the clique is its only image
-            return self.verifier.semilattice(found[0])
+            return Semilattice(self.n, self._checked(found[0], "witness"))
         m = min(low.values())
         best = 0
         for clique in found:
@@ -362,17 +314,17 @@ class _SinkZeroOrbits(Record):
             for image in map(sum, zip(*columns)):
                 if not best or image & (d := image ^ best) & -d:
                     best = image
-        return self.verifier.semilattice(best)
+        return Semilattice(self.n, self._checked(best, "witness"))
 
     def families(self, size: int | None = None) -> list[int]:
         """Every sink-0 family, or every one of ``size`` elements, as a bit
-        vector over ``verifier.vertices``: the found cliques and their images
-        under G, each passed through :meth:`_CliqueVerifier.check`, in
-        ascending order."""
+        vector over ``vertices``: the found cliques and their images under G,
+        in ascending order, each passed through the axiom check by
+        :func:`_checked`."""
         chosen = (c for c in self.cliques if size is None or c.bit_count() == size)
         found = sorted({image for c in chosen for image in self._images(c)})
         for clique in found:
-            self.verifier.check(clique)
+            self._checked(clique, "expanded family")
         return found
 
     def largest(self) -> tuple[Semilattice, ...]:
@@ -380,7 +332,7 @@ class _SinkZeroOrbits(Record):
         ordered: the largest sink-0 families, each checked, and their
         conjugates, ranked and built by :class:`Listing`."""
         top = self.families(max(self.counts))
-        return tuple(Listing(self.verifier.n, self.verifier.vertices, top))
+        return tuple(Listing(self.n, self.vertices, top))
 
 
 def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
@@ -397,15 +349,16 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
     searches find a clique only when there is no other vertex (n <= 2).
     The weights are summed exactly over D, the lcm of the shares
     |C & O_i|, and a total that D does not divide raises RuntimeError.
-    Each found clique is checked by the naive-composition verifier.  Raises
-    CapExceeded above the cap.
+    Each found clique is checked by naive composition, :func:`_checked`, on
+    the vertices' byte tables, built once.  Raises CapExceeded above the
+    cap.
     """
     _check_cap(n, cap)
     verts = enumerate_idempotents(n, (constant(n, 0),))  # the idempotents fixing 0
     graph = build_commuting_graph(n, verts)
     rows = graph.rows
-    verifier = _CliqueVerifier(n, graph.vertices)
-    moves = _relabellings(n, verifier._index)
+    tables = byte_tables(verts)
+    moves = _relabellings(n, {word: i for i, word in enumerate(tables[0])})
     full = (1 << len(rows)) - 1
     orbits = _vertex_orbits(moves, full)
     found = list(_orbit_cliques(rows, orbits))
@@ -422,7 +375,7 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
                 f"search emitted a non-maximal clique at n={n}: {words} "
                 f"has the common neighbor [{extra}]"
             )
-        verifier.check(clique)
+        _checked(n, verts, tables, clique, "found clique")
         size = clique.bit_count()
         weight = orbit.bit_count() * den // (clique & orbit).bit_count()
         totals[size] = totals.get(size, 0) + weight
@@ -435,7 +388,8 @@ def _sink_zero_orbits(n: int, cap: int | None) -> _SinkZeroOrbits:
                 f"at n={n} is {total}/{den}, not an integer"
             )
     fixed = sum(orbit for orbit in orbits if orbit.bit_count() == 1)
-    return _SinkZeroOrbits(verifier, moves, fixed, tuple(c for c, _ in found), counts)
+    cliques = tuple(c for c, _ in found)
+    return _SinkZeroOrbits(n, verts, tables, moves, fixed, cliques, counts)
 
 
 class Listing:
@@ -505,8 +459,8 @@ def enumerate_maximal_semilattices(n: int, cap: int | None = None) -> Listing:
     the sink-0 families, the cliques of the search up to relabelling
     expanded under the permutations that fix 0, and their conjugates.
 
-    Every sink-0 family is checked by the naive-composition verifier before
-    this returns, and their number is checked against the search's
+    Every sink-0 family is checked by naive composition before this
+    returns, and their number is checked against the search's
     orbit-weighted count.  The conjugates are ranked and the families sorted
     and built only as the returned :class:`Listing` is read: sorted by size
     descending, then lexicographically on the carrier.
@@ -518,7 +472,7 @@ def enumerate_maximal_semilattices(n: int, cap: int | None = None) -> Listing:
             f"the search expanded {len(families)} sink-0 families at n={n}, "
             f"but its orbit-weighted count is {sum(search.counts.values())}"
         )
-    return Listing(n, search.verifier.vertices, families)
+    return Listing(n, search.vertices, families)
 
 
 def max_size_semilattices(n: int, cap: int | None = None) -> tuple[Semilattice, ...]:

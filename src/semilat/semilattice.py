@@ -17,7 +17,7 @@ isomorphic to the power set of the non-sink points.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from ._record import Record, _set
 from .transform import (
@@ -69,16 +69,19 @@ def _canonical(n: int, elements: Iterable[Transformation]) -> tuple[Transformati
     return tuple(elems)
 
 
-def _first_violation(elems: tuple[Transformation, ...]) -> Violation | None:
-    """:func:`find_violation` on a canonical carrier.
+def _first_violation(
+    elems: Sequence[Transformation], words: Sequence[bytes], tables: Sequence[bytes]
+) -> Violation | None:
+    """:func:`find_violation` on a canonical carrier and its
+    :func:`~semilat.transform.byte_tables`, ``words`` and ``tables``.
 
     Composes the members' image tables naively, point by point, as bytes:
     ``a.translate(tb)`` is a then b, each pair both ways.  Only a reported
-    witness becomes a :class:`Transformation`.
+    witness becomes a :class:`Transformation`.  This is the one axiom check:
+    the verifiers below and the clique search all run it.
     """
     if not elems:
         raise ValueError("empty candidate")
-    words, tables = byte_tables(elems)
     present = set(words)
     for e, a, ta in zip(elems, words, tables):
         if a.translate(ta) != a:
@@ -103,7 +106,8 @@ def find_violation(n: int, elements: Iterable[Transformation]) -> Violation | No
     Pairs are multiplied by naive composition of their image tables, point
     by point, over the tables as bytes.
     """
-    return _first_violation(_canonical(n, elements))
+    elems = _canonical(n, elements)
+    return _first_violation(elems, *byte_tables(elems))
 
 
 class Semilattice(Record):
@@ -163,7 +167,7 @@ def verify_semilattice(n: int, candidate: Iterable[Transformation]) -> Semilatti
     naive composition, as in :func:`find_violation`.
     """
     elems = _canonical(n, candidate)
-    violation = _first_violation(elems)
+    violation = _first_violation(elems, *byte_tables(elems))
     if violation is not None:
         raise SemilatticeError(violation)
     return Semilattice(n, elems)

@@ -8,7 +8,8 @@ slower route that shares less with it.
 - :func:`maximal_clique_bitsets` lists every maximal clique of a graph by
   one pivoted search over all its vertices, with no symmetry reduction.
 - :func:`sink_zero_families` runs that search on the sink-0 graph: every
-  maximal subsemilattice holding c_0, with no relabelling, each verified.
+  maximal subsemilattice holding c_0, with no relabelling, each verified
+  by the public :func:`verify_semilattice`.
 - :func:`incremental_sink_zero_families` lists the same families by adding
   one vertex at a time to the naive :func:`commutes` graph, sharing neither
   the block test nor the clique search.
@@ -18,13 +19,8 @@ slower route that shares less with it.
   search's cliques of one size with every image built, unpruned.
 """
 
-from semilat.enumeration import (
-    _bron_kerbosch,
-    _check_cap,
-    _CliqueVerifier,
-    build_commuting_graph,
-)
-from semilat.semilattice import Semilattice, find_violation
+from semilat.enumeration import _bron_kerbosch, _check_cap, build_commuting_graph
+from semilat.semilattice import Semilattice, find_violation, verify_semilattice
 from semilat.transform import commutes, constant, enumerate_idempotents, points
 
 ORACLE_CAP = 3
@@ -65,12 +61,12 @@ def maximal_clique_bitsets(rows):
 
 def sink_zero_families(n, cap):
     """The maximal subsemilattices of T(n) that contain the constant c_0,
-    verified, in search order.  Raises CapExceeded above the cap."""
+    each built by the public :func:`verify_semilattice`, in search order.
+    Raises CapExceeded above the cap."""
     _check_cap(n, cap)
     verts = enumerate_idempotents(n, (constant(n, 0),))  # the idempotents fixing 0
     graph = build_commuting_graph(n, verts)
     rows = graph.rows
-    verifier = _CliqueVerifier(n, graph.vertices)
     semis = []
     full = (1 << len(rows)) - 1
     for clique in maximal_clique_bitsets(rows):
@@ -78,21 +74,22 @@ def sink_zero_families(n, cap):
         for i in points(clique):
             common &= rows[i]
         assert not common, "the direct search emitted a non-maximal clique"
-        semis.append(verifier.semilattice(clique))
+        semis.append(verify_semilattice(n, map(verts.__getitem__, points(clique))))
     return tuple(semis)
 
 
 def least_image(search, size):
     """The canonically smallest family of ``size`` elements among the images
-    of ``search``'s found cliques under every relabelling, all built:
-    the reference for ``_SinkZeroOrbits.least``."""
+    of ``search``'s found cliques under every relabelling, all built, and
+    verified by the public :func:`verify_semilattice`: the reference for
+    ``_SinkZeroOrbits.least``."""
     best = 0
     for clique in search.cliques:
         if clique.bit_count() == size:
             for image in search._images(clique):
                 if not best or image & (d := image ^ best) & -d:
                     best = image
-    return search.verifier.semilattice(best)
+    return verify_semilattice(search.n, map(search.vertices.__getitem__, points(best)))
 
 
 def incremental_sink_zero_families(n):

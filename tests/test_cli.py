@@ -359,20 +359,35 @@ def test_the_cli_listings_build_no_semilattice(capsys, monkeypatch):
 def test_a_rejected_family_stops_enumerate_before_any_output(
     tmp_path, capsys, monkeypatch
 ):
-    # the handler verifies every sink-0 family, here an expanded image that
-    # the search did not find itself, before main writes or opens anything
+    # an expanded image that the search did not find itself gains a member
+    # that does not commute with all of it: a fault of the search, so the
+    # handler raises RuntimeError naming n, the layer and the violation,
+    # before main writes or opens anything
     search = enumeration._sink_zero_orbits(4, None)
+    vertices = search.vertices
     target = next(c for c in search.families() if c not in search.cliques)
-    real = enumeration._CliqueVerifier.violation
+    members = [vertices[i] for i in sl.points(target)]
+    intruder = next(
+        i for i, e in enumerate(vertices)
+        if not all(sl.commutes(e, m) for m in members)
+    )
+    corrupted = target | 1 << intruder
+    violation = sl.find_violation(4, [vertices[i] for i in sl.points(corrupted)])
+    real = enumeration._SinkZeroOrbits._images
 
-    def reject(self, clique):
-        return "closure" if clique == target else real(self, clique)
+    def corrupt(self, clique):
+        return (corrupted if c == target else c for c in real(self, clique))
 
-    monkeypatch.setattr(enumeration._CliqueVerifier, "violation", reject)
+    monkeypatch.setattr(enumeration._SinkZeroOrbits, "_images", corrupt)
+    message = (
+        "search emitted a non-semilattice expanded family at n=4: "
+        + violation.describe()
+    )
     path = tmp_path / "enumerate4.txt"
     for out in ([], ["--out", str(path)]):
-        with pytest.raises(RuntimeError, match="disagree at n=4 on the clique"):
+        with pytest.raises(RuntimeError) as err:
             main(["enumerate", "--n", "4", *out])
+        assert str(err.value) == message
         assert capsys.readouterr() == ("", "")
         assert not path.exists()
 

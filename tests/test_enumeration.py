@@ -3,7 +3,6 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -17,7 +16,7 @@ from oracles import (
     sink_zero_families,
 )
 from semilat import cli, enumeration, formats
-from semilat.transform import points
+from semilat.transform import byte_tables, points
 
 
 def test_graph_n1():
@@ -139,8 +138,11 @@ def _full_graph_families(n):
     """Every maximal subsemilattice of T(n) from the commuting graph over all
     idempotents, in canonical order: the search without the sink-0 reduction,
     kept as the oracle for it and for the conjugation."""
-    cliques, verifier = _cliques_and_verifier(n)
-    semis = [verifier.semilattice(clique) for clique in cliques]
+    graph = sl.build_commuting_graph(n, sl.enumerate_idempotents(n))
+    semis = [
+        sl.verify_semilattice(n, _members(graph.vertices, clique))
+        for clique in maximal_clique_bitsets(graph.rows)
+    ]
     semis.sort(key=canonical_key)
     return tuple(semis)
 
@@ -222,26 +224,32 @@ def test_search_builds_only_the_sink_zero_graph(monkeypatch):
 @pytest.mark.parametrize(
     "n, edges", [(1, 0), (2, 1), (3, 10), (4, 106), (5, 1298), (6, 18401)]
 )
-def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
-    # Every edge lies in some maximal clique and the memo keeps each pair's
-    # outcome, so naive composition re-checks every edge of the block-test
-    # graph exactly once, and never a pair the graph left out.
+def test_the_check_composes_every_sink_zero_edge(monkeypatch, n, edges):
+    # Every edge lies in some maximal clique, and every family the search
+    # checks passes, so the one naive-composition check composes every edge
+    # of the block-test graph at least once, and never a pair the graph
+    # left out.
     build = enumeration.build_commuting_graph
-    product = enumeration._CliqueVerifier._product
-    graphs, pairs = [], []
+    check = enumeration._first_violation
+    graphs, checked = [], []
 
     def record_graph(n, vertices):
         graphs.append(build(n, vertices))
         return graphs[-1]
 
-    def record_pair(self, i, j):
-        pairs.append((i, j))
-        return product(self, i, j)
+    def record(elems, words, tables):
+        assert check(elems, words, tables) is None  # so every pair was composed
+        checked.append(elems)
 
     monkeypatch.setattr(enumeration, "build_commuting_graph", record_graph)
-    monkeypatch.setattr(enumeration._CliqueVerifier, "_product", record_pair)
+    monkeypatch.setattr(enumeration, "_first_violation", record)
     sl.enumerate_maximal_semilattices(n, cap=enumeration.HARD_CAP)
     (graph,) = graphs
+    index = {e: i for i, e in enumerate(graph.vertices)}
+    pairs = {
+        (index[a], index[b]) for elems in checked
+        for k, a in enumerate(elems) for b in elems[k + 1 :]
+    }
     # the search's vertices, c_0's centralizer, are the idempotents fixing 0
     assert graph.vertices == tuple(
         e for e in sl.enumerate_idempotents(n) if e.images[0] == 0
@@ -250,47 +258,6 @@ def test_verifier_composes_each_sink_zero_edge_once(monkeypatch, n, edges):
     assert sorted(pairs) == [
         (i, j) for i, row in enumerate(graph.rows) for j in points(row) if i < j
     ]
-
-
-def _composed(vertices, i, j):
-    """What ``_CliqueVerifier._product`` returns, by composing image tuples:
-    the product's vertex index, or the code for a pair that does not commute
-    or a product outside the list."""
-    a, b = vertices[i].images, vertices[j].images
-    ab = tuple(b[y] for y in a)
-    if ab != tuple(a[y] for y in b):
-        return enumeration._NOT_COMMUTING
-    tables = [v.images for v in vertices]
-    return tables.index(ab) if ab in tables else enumeration._NOT_A_VERTEX
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_verifier_products_equal_tuple_composition(n):
-    # every ordered pair at n <= 4, also over all idempotents but c_0, so
-    # that a commuting pair's product can fall outside the list; every edge
-    # of the sink-0 graph, both ways, at n = 5
-    sink_zero = sl.enumerate_idempotents(n, (sl.constant(n, 0),))
-    if n <= 4:
-        c0, *others = sl.enumerate_idempotents(n)
-        assert c0 == sl.constant(n, 0)
-        cases = [(vs, product(range(len(vs)), repeat=2)) for vs in (sink_zero, others)]
-    else:
-        rows = sl.build_commuting_graph(n, sink_zero).rows
-        edges = [(i, j) for i, row in enumerate(rows) for j in points(row)]
-        cases = [(sink_zero, edges)]
-    codes = Counter()
-    for vertices, pairs in cases:
-        verifier = enumeration._CliqueVerifier(n, tuple(vertices))
-        for i, j in pairs:
-            code = verifier._product(i, j)
-            assert code == _composed(vertices, i, j), (n, i, j)
-            codes[min(code, 0)] += 1
-    if n in (3, 4):
-        assert codes.keys() == {
-            0, enumeration._NOT_COMMUTING, enumeration._NOT_A_VERTEX
-        }
-    if n == 5:
-        assert codes == {0: 2 * 1298}
 
 
 def test_every_maximal_semilattice_has_exactly_one_constant(
@@ -459,7 +426,9 @@ def _orbit_results(n):
     search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
     witnesses = {size: search.least(size) for size in search.counts}
     largest = search.families(max(search.counts))
-    return search, witnesses, set(map(search.verifier.semilattice, largest))
+    return search, witnesses, {
+        sl.verify_semilattice(n, _members(search.vertices, c)) for c in largest
+    }
 
 
 @pytest.mark.parametrize("n", sorted(ORBIT_CLIQUES))
@@ -480,7 +449,7 @@ def test_orbit_search_equals_the_direct_sink_zero_search(sink_zero_by_n, n):
 def test_orbit_search_equals_the_incremental_listing(n):
     # a route that shares neither the block test nor the clique search
     search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
-    vertices = search.verifier.vertices
+    vertices = search.vertices
     found = {frozenset(map(vertices.__getitem__, points(c))) for c in search.families()}
     assert found == incremental_sink_zero_families(n)
 
@@ -522,7 +491,7 @@ def test_the_fixed_vertices_are_the_last_orbits(n):
     # G fixes c_0 and the identity and no other sink-0 idempotent, so they
     # are the singleton orbits, searched last
     search = enumeration._sink_zero_orbits(n, enumeration.HARD_CAP)
-    vertices = search.verifier.vertices
+    vertices = search.vertices
     orbits = enumeration._vertex_orbits(search.moves, (1 << len(vertices)) - 1)
     singletons = [o for o in orbits if o.bit_count() == 1]
     fixed = [vertices[o.bit_length() - 1] for o in singletons]
@@ -566,43 +535,77 @@ def test_orbit_search_rejects_a_count_that_is_not_an_integer(monkeypatch):
 
 def test_spectrum_verifies_every_clique_it_reports(monkeypatch):
     # the found cliques, each witness, each largest family and each listed
-    # sink-0 family all go through the naive-composition verifier
-    found = enumeration._sink_zero_orbits(5, None).cliques
+    # sink-0 family all go through the one naive-composition check
+    search = enumeration._sink_zero_orbits(5, None)
+    found = [_members(search.vertices, c) for c in search.cliques]
     checked = set()
-    real = enumeration._CliqueVerifier.check
+    real = enumeration._first_violation
 
-    def record(self, clique):
-        checked.add(clique)
-        return real(self, clique)
+    def record(elems, words, tables):
+        checked.add(elems)
+        return real(elems, words, tables)
 
-    monkeypatch.setattr(enumeration._CliqueVerifier, "check", record)
+    monkeypatch.setattr(enumeration, "_first_violation", record)
     report = sl.spectrum(5)
     reported = [e.witness for e in report.entries] + [
         s for s in sl.max_size_semilattices(5) if sl.constant(5, 0) in s
     ]
-    assert set(found) | set(_sink_zero_bits(5, reported)) <= checked
+    assert set(found) | {s.elements for s in reported} <= checked
     checked.clear()
     listed = [
         s for s in sl.enumerate_maximal_semilattices(5) if sl.constant(5, 0) in s
     ]
     assert len(listed) == 213
-    assert set(_sink_zero_bits(5, listed)) <= checked
+    assert {s.elements for s in listed} <= checked
 
 
 def test_a_rejected_expanded_image_stops_the_listing(monkeypatch):
-    # the naive-composition verifier rejects one relabelled image that the
-    # search did not find itself; the fallback accepts it, and the
-    # disagreement stops the listing
+    # one expanded image that the search did not find itself gains a member
+    # that does not commute with all of it: a fault of the search, so
+    # RuntimeError, not the usage error SemilatticeError
     search = enumeration._sink_zero_orbits(4, None)
+    vertices = search.vertices
     target = next(c for c in search.families() if c not in search.cliques)
-    real = enumeration._CliqueVerifier.violation
+    intruder = next(
+        i for i, e in enumerate(vertices)
+        if not all(sl.commutes(e, m) for m in _members(vertices, target))
+    )
+    corrupted = target | 1 << intruder
+    violation = sl.find_violation(4, _members(vertices, corrupted))
+    assert violation.axiom == "commutativity"
+    real = enumeration._SinkZeroOrbits._images
 
-    def reject(self, clique):
-        return "closure" if clique == target else real(self, clique)
+    def corrupt(self, clique):
+        return (corrupted if c == target else c for c in real(self, clique))
 
-    monkeypatch.setattr(enumeration._CliqueVerifier, "violation", reject)
-    with pytest.raises(RuntimeError, match="disagree at n=4 on the clique"):
+    monkeypatch.setattr(enumeration._SinkZeroOrbits, "_images", corrupt)
+    message = "search emitted a non-semilattice expanded family at n=4: "
+    with pytest.raises(RuntimeError) as err:
         sl.enumerate_maximal_semilattices(4)
+    assert str(err.value) == message + violation.describe()
+    assert not isinstance(err.value, ValueError)
+
+
+def test_a_found_clique_that_breaks_an_axiom_stops_the_search(monkeypatch):
+    # the block test is wrong about one pair, (0 0 2) and (0 2 2), which do
+    # not commute; the check, which never reads the graph, stops the search
+    build = enumeration.build_commuting_graph
+    a, b = sl.Transformation(3, (0, 0, 2)), sl.Transformation(3, (0, 2, 2))
+
+    def wrong_edge(n, vertices):
+        rows = list(build(n, vertices).rows)
+        i, j = vertices.index(a), vertices.index(b)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        return sl.CommutingGraph(n, vertices, tuple(rows))
+
+    monkeypatch.setattr(enumeration, "build_commuting_graph", wrong_edge)
+    with pytest.raises(RuntimeError) as err:
+        enumeration._sink_zero_orbits(3, None)
+    assert str(err.value) == (
+        "search emitted a non-semilattice found clique at n=3: "
+        "commutativity fails for the pair [0 0 2, 0 2 2]"
+    )
 
 
 def test_the_listing_builds_each_family_once(monkeypatch):
@@ -674,7 +677,10 @@ def test_optional_n7_orbit_search_equals_the_direct_search(monkeypatch):
     direct = sink_zero_families(7, 7)
     assert counts == Counter(len(s) for s in direct)
     # the listing's expansion, checked before any cap lets it reach n = 7
-    expanded = list(map(search.verifier.semilattice, search.families()))
+    vertices = search.vertices
+    expanded = [
+        sl.verify_semilattice(7, _members(vertices, c)) for c in search.families()
+    ]
     assert len(expanded) == len(direct) == 97993
     assert set(expanded) == set(direct)
 
@@ -732,39 +738,45 @@ def test_enumeration_is_deterministic():
     assert ja == jb
 
 
-def _cliques_and_verifier(n):
+def _members(vertices, clique):
+    return tuple(vertices[i] for i in points(clique))
+
+
+def _full_graph(n):
+    """The commuting graph over all idempotents, its byte tables and its
+    maximal cliques."""
     graph = sl.build_commuting_graph(n, sl.enumerate_idempotents(n))
-    cliques = maximal_clique_bitsets(graph.rows)
-    return cliques, enumeration._CliqueVerifier(n, graph.vertices)
-
-
-def _members(verifier, clique):
-    return [verifier.vertices[i] for i in points(clique)]
+    return graph, byte_tables(graph.vertices), maximal_clique_bitsets(graph.rows)
 
 
 def test_index_verifier_accepts_every_enumerated_clique():
+    # the search's check on cliques given as vertex indices
     for n in range(1, 6):
-        cliques, verifier = _cliques_and_verifier(n)
+        graph, tables, cliques = _full_graph(n)
         for clique in cliques:
-            assert verifier.violation(clique) is None
-            assert sl.find_violation(n, _members(verifier, clique)) is None
+            members = _members(graph.vertices, clique)
+            checked = enumeration._checked(n, graph.vertices, tables, clique, "")
+            assert checked == members
+            assert sl.find_violation(n, members) is None
 
 
-def _assert_both_reject(verifier, clique):
-    """The axiom that both verifiers, and the fallback's error, name."""
-    axiom = sl.find_violation(verifier.n, _members(verifier, clique)).axiom
-    assert verifier.violation(clique) == axiom
-    with pytest.raises(sl.SemilatticeError) as err:
-        verifier.semilattice(clique)
-    assert err.value.violation.axiom == axiom
-    return axiom
+def _assert_rejected_like_find_violation(n, vertices, clique):
+    """The search's check rejects the clique with the axiom and elements
+    that :func:`find_violation` names; returns the axiom."""
+    violation = sl.find_violation(n, _members(vertices, clique))
+    with pytest.raises(RuntimeError) as err:
+        enumeration._checked(n, vertices, byte_tables(vertices), clique, "layer")
+    assert str(err.value) == (
+        f"search emitted a non-semilattice layer at n={n}: {violation.describe()}"
+    )
+    return violation.axiom
 
 
 def test_index_verifier_rejects_mutated_cliques_like_find_violation():
     axioms = Counter()
     for n in range(2, 6):
-        cliques, verifier = _cliques_and_verifier(n)
-        vertices = verifier.vertices
+        graph, _, cliques = _full_graph(n)
+        vertices = graph.vertices
         for clique in cliques:
             members = points(clique)
             # add one idempotent that fails to commute with some member
@@ -773,7 +785,8 @@ def test_index_verifier_rejects_mutated_cliques_like_find_violation():
                 if not (clique >> k) & 1
                 and not all(sl.commutes(e, vertices[i]) for i in members)
             )
-            axioms[_assert_both_reject(verifier, clique | 1 << intruder)] += 1
+            mutated = clique | 1 << intruder
+            axioms[_assert_rejected_like_find_violation(n, vertices, mutated)] += 1
             # remove the product of two members that is neither of them
             products = (
                 (i, j, vertices.index(sl.compose(vertices[i], vertices[j])))
@@ -783,7 +796,8 @@ def test_index_verifier_rejects_mutated_cliques_like_find_violation():
             removed = next((p for i, j, p in products if p not in (i, j)), None)
             if removed is not None:
                 mutated = clique & ~(1 << removed)
-                assert _assert_both_reject(verifier, mutated) == "closure"
+                axiom = _assert_rejected_like_find_violation(n, vertices, mutated)
+                assert axiom == "closure"
                 axioms["removed"] += 1
     assert axioms["commutativity"] and axioms["removed"]
 
@@ -791,18 +805,8 @@ def test_index_verifier_rejects_mutated_cliques_like_find_violation():
 def test_index_verifier_reports_a_non_idempotent_member():
     # (1 2 2) squared agrees with it on its image {1, 2}, but not at 0
     vertices = sl.enumerate_idempotents(3) + (sl.Transformation(3, (1, 2, 2)),)
-    verifier = enumeration._CliqueVerifier(3, vertices)
     clique = 1 << (len(vertices) - 1) | 1
-    assert _assert_both_reject(verifier, clique) == "idempotence"
-
-
-def test_verifiers_that_disagree_stop_the_enumeration(monkeypatch):
-    _, verifier = _cliques_and_verifier(3)
-    monkeypatch.setattr(enumeration, "verify_semilattice", lambda n, members: None)
-    constants = 1 | 1 << (len(verifier.vertices) - 1)  # (0 0 0) and (2 2 2)
-    message = r"disagree at n=3 on the clique \['0 0 0', '2 2 2'\]"
-    with pytest.raises(RuntimeError, match=message):
-        verifier.semilattice(constants)
+    assert _assert_rejected_like_find_violation(3, vertices, clique) == "idempotence"
 
 
 @pytest.mark.slow

@@ -64,10 +64,11 @@ VALUES = {
         f"CommutingGraph(n=2, vertices={VERTS2!r}, rows=(2, 5, 2))",
     ),
     "_SinkZeroOrbits": (
-        enumeration._SinkZeroOrbits, ("verifier", "moves", "fixed", "cliques", "counts"),
-        (None, [(1,)], 1, (1,), {1: 1}),
-        "_SinkZeroOrbits(verifier=None, moves=[(1,)], fixed=1, cliques=(1,), "
-        "counts={1: 1})",
+        enumeration._SinkZeroOrbits,
+        ("n", "vertices", "tables", "moves", "fixed", "cliques", "counts"),
+        (1, (), None, [(1,)], 1, (1,), {1: 1}),
+        "_SinkZeroOrbits(n=1, vertices=(), tables=None, moves=[(1,)], fixed=1, "
+        "cliques=(1,), counts={1: 1})",
     ),
     "SpectrumEntry": (
         sl.SpectrumEntry, ("size", "count", "witness"), (4, 36, S2),
